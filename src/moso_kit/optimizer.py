@@ -40,7 +40,6 @@ class OptimizerConfig:
 @dataclass
 class SolveOutcome:
     candidate: np.ndarray | None
-    improve_requested: bool
     value: float
     start_value: float
     iterations: int
@@ -199,8 +198,8 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
     """Projected BFGS over the trust-region box.
 
     Returns a candidate when the final value improves on the start by at
-    least ``decrease_factor * max(1, |start|)``; otherwise flags that a
-    model-improvement point should be generated instead.
+    least ``decrease_factor * max(1, |start|)``; otherwise the candidate
+    is None and a model-improvement point should be generated instead.
     """
     ev = SubproblemEvaluator(moop, state, surrogates, lam, config)
     lo, hi = region.bounds()
@@ -250,7 +249,6 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
     improved = f <= f_start - config.decrease_factor * max(1.0, abs(f_start))
     return SolveOutcome(
         candidate=z if improved else None,
-        improve_requested=not improved,
         value=f,
         start_value=f_start,
         iterations=iterations,

@@ -41,7 +41,6 @@ from .surrogate import RbfSurrogate, TrustRegion, trust_region
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
-IMPROVE_RETRIES = 100
 
 
 class CheckpointError(MosoError):
@@ -145,16 +144,14 @@ class MoopSolver:
         if len(self.database) == 0:
             raise MosoError("no evaluations available to build surrogates from")
 
-        plan = self.moop.plan
         latents = self.database.latent_matrix()
         models = [RbfSurrogate.fit(latents, self.database.outputs_matrix(i))
                   for i in range(len(self.moop.simulations))]
         archive = ParetoArchive.from_records(self.database.records)
 
         batch = CandidateBatch(iteration=k)
-        # Insertion-ordered so iteration order never depends on hash seeds;
-        # the order feeds covariance sums inside the improvement search.
-        batch_keys: dict[bytes, None] = {}
+        batch_keys: set[bytes] = set()
+        cube = TrustRegion(center=np.full(self.moop.latent_dim, 0.5), radius=0.5)
 
         for i, spec in enumerate(self.moop.acquisitions):
             rng = self._acq_rngs[i]
@@ -162,65 +159,49 @@ class MoopSolver:
             start = acq.select_start(state, self.database, self.penalty.value)
             center = self.database.records[start].latent
             region = trust_region(center, latents, self.moop.n)
-            local_models = []
-            for sim, model in zip(self.moop.simulations, models):
-                localized, region = model.set_center(
-                    center, latents, model.values, self.moop.n,
-                    local=sim.surrogate.local)
-                local_models.append(localized)
+            local_models = [model.set_center(region, local=sim.surrogate.local)
+                            for sim, model in zip(self.moop.simulations, models)]
 
             outcome = optimizer.solve(self.moop, state, local_models, center,
                                       region, self.penalty.value, self.opt_config)
             point = None
-            duplicate = False
             if outcome.candidate is not None:
-                design = embedding.extract(plan, outcome.candidate)
-                z = embedding.embed(plan, design)
-                key = latent_key(z)
-                if not self.database.has_key(key) and key not in batch_keys:
-                    point = BatchPoint(design, z, f"acquisition:{i}")
-                else:
-                    duplicate = True
-
-            if point is None:
+                point = self._new_point(outcome.candidate, f"acquisition:{i}", batch_keys)
+            if point is None and local_models:
                 # A solve that converged onto an already-known point has
                 # exhausted its region; refine the model globally instead.
                 # A solve that could not make sufficient decrease still
                 # needs better local data, so it refines within its region.
-                improve_region = region
-                if duplicate:
-                    improve_region = TrustRegion(
-                        center=np.full(self.moop.latent_dim, 0.5), radius=0.5)
-                point = self._improvement_point(i, local_models[0] if local_models else None,
-                                                improve_region, latents, batch_keys, rng)
+                existing = np.vstack([latents, *(np.round(p.latent, 12) for p in batch.points)])
+                point = local_models[0].improve(
+                    cube if outcome.candidate is not None else region, existing, rng,
+                    lambda z: self._new_point(z, f"improve:{i}", batch_keys))
+                if point is None:
+                    logger.warning("acquisition %d: could not find an unevaluated point; "
+                                   "dropped", i)
             if point is not None:
-                batch_keys[latent_key(point.latent)] = None
+                batch_keys.add(latent_key(point.latent))
                 batch.points.append(point)
         return batch
 
-    def _improvement_point(self, i, model, region, latents, batch_keys, rng):
-        """Model-improvement replacement whose canonical key is unused."""
-        if model is None:
+    def _new_point(self, z, origin, batch_keys):
+        """The batch point ``z`` extracts to, or None if stored or in ``batch_keys``."""
+        design = embedding.extract(self.moop.plan, z)
+        latent = embedding.embed(self.moop.plan, design)
+        key = latent_key(latent)
+        if self.database.has_key(key) or key in batch_keys:
             return None
-        existing = latents
-        if batch_keys:
-            extra = np.array([np.frombuffer(k, dtype=float) for k in batch_keys])
-            existing = np.vstack([latents, extra])
-        for _ in range(IMPROVE_RETRIES):
-            z_raw = model.improve(region, existing, rng)
-            design = embedding.extract(self.moop.plan, z_raw)
-            z = embedding.embed(self.moop.plan, design)
-            key = latent_key(z)
-            if not self.database.has_key(key) and key not in batch_keys:
-                return BatchPoint(design, z, f"improve:{i}")
-        logger.warning("acquisition %d: could not find an unevaluated point; dropped", i)
-        return None
+        return BatchPoint(design, latent, origin)
 
     # -- evaluation --------------------------------------------------------
 
     def _run_simulations(self, design):
-        return [np.atleast_1d(np.asarray(s.evaluator(design), dtype=float))
-                for s in self.moop.simulations]
+        """Every simulation's outputs at one design, or the exception raised."""
+        try:
+            return [np.atleast_1d(np.asarray(s.evaluator(design), dtype=float))
+                    for s in self.moop.simulations]
+        except Exception as err:  # noqa: BLE001 - user code may raise anything
+            return err
 
     def evaluate_batch(self, batch: CandidateBatch) -> list:
         """Evaluate a batch through the worker pool and merge the results.
@@ -228,25 +209,15 @@ class MoopSolver:
         Returns one record (or None for a skipped point) per batch entry,
         in batch order regardless of completion order.  Failed or
         non-finite evaluations are skipped with a warning; every point
-        still counts against the budget.
+        still counts against the budget.  With one worker the simulations
+        run on the calling thread.
         """
         designs = [p.design for p in batch.points]
         if self.workers == 1 or len(designs) <= 1:
-            raw = []
-            for d in designs:
-                try:
-                    raw.append(self._run_simulations(d))
-                except Exception as err:  # noqa: BLE001 - user code may raise anything
-                    raw.append(err)
+            raw = [self._run_simulations(d) for d in designs]
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [pool.submit(self._run_simulations, d) for d in designs]
-                raw = []
-                for fut in futures:
-                    try:
-                        raw.append(fut.result())
-                    except Exception as err:  # noqa: BLE001
-                        raw.append(err)
+                raw = list(pool.map(self._run_simulations, designs))
 
         results = []
         for point, outputs in zip(batch.points, raw):
@@ -298,13 +269,19 @@ class MoopSolver:
         """Run iterations until the next batch would exceed ``budget``.
 
         The budget counts evaluation attempts: q0 for the initial design
-        plus q per completed iteration.
+        plus one per point proposed in each later iteration.  The run
+        stops early when an iteration proposes no point at all (the
+        design space is exhausted).
         """
         if budget < self.moop.q0:
             raise ValidationError(f"budget {budget} cannot cover the initial design "
                                   f"of {self.moop.q0} points")
         while self.evaluations + self._next_batch_size() <= budget:
             batch = self.iterate(self.iteration)
+            if not batch.points:
+                logger.warning("iteration %d proposed no unevaluated point; stopping at "
+                               "%d of %d evaluations", self.iteration, self.evaluations, budget)
+                break
             results = self.evaluate_batch(batch)
             if self.iteration > 0:
                 self.update_penalty(batch, results)
@@ -352,7 +329,12 @@ class MoopSolver:
     def checkpoint_load(cls, path, moop, workers: int = 1,
                         optimizer_config: optimizer.OptimizerConfig | None = None,
                         checkpoint_path=None) -> "MoopSolver":
-        """Rebuild a solver mid-run from a checkpoint of the same problem."""
+        """Rebuild a solver mid-run from a checkpoint of the same problem.
+
+        Every stored record's objectives and constraints are recomputed
+        from its design and simulation outputs; a mismatch means the
+        problem was edited since the save and raises CheckpointError.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 state = json.load(fh)
@@ -373,12 +355,24 @@ class MoopSolver:
             solver._search_rng.bit_generator.state = state["rng"]["search"]
             for rng, st in zip(solver._acq_rngs, state["rng"]["acquisitions"]):
                 rng.bit_generator.state = st
-            for rec in state["records"]:
+            for n, rec in enumerate(state["records"]):
                 s = [np.asarray(o, dtype=float) for o in rec["outputs"]]
-                solver.database.add(rec["design"], s,
-                                    np.asarray(rec["objectives"], dtype=float),
-                                    np.asarray(rec["constraints"], dtype=float),
-                                    rec["iteration"])
+                added = solver.database.add(rec["design"], s,
+                                            np.asarray(rec["objectives"], dtype=float),
+                                            np.asarray(rec["constraints"], dtype=float),
+                                            rec["iteration"])
+                # The fingerprint covers names only; recomputing the terms
+                # catches edited caps, scales, coefficients and forms.
+                x, flat = added.design, added.concat_outputs()
+                try:
+                    same = (np.array_equal(eval_objectives(solver.moop, x, flat), added.objectives)
+                            and np.array_equal(eval_constraints(solver.moop, x, flat),
+                                               added.constraints))
+                except EvaluationError:
+                    same = False
+                if not same:
+                    raise CheckpointError(f"record {n} of {path} does not match the problem's "
+                                          "objectives or constraints")
         except (KeyError, TypeError, IndexError) as err:
             raise CheckpointError(f"corrupt checkpoint {path}: {err}") from err
         return solver

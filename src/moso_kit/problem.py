@@ -376,7 +376,9 @@ class EvaluationDatabase:
             raise DuplicatePointError(f"latent coordinates already stored (record {self._index[key]})")
         g = np.asarray(constraints, dtype=float)
         rec = EvalRecord(
-            design=dict(design),
+            # numpy scalars (e.g. from a custom from_latent) become Python
+            # values so records serialize to JSON checkpoints.
+            design={k: v.item() if isinstance(v, np.generic) else v for k, v in design.items()},
             latent=z,
             sim_outputs=tuple(np.asarray(s, dtype=float) for s in sim_outputs),
             objectives=np.asarray(objectives, dtype=float),

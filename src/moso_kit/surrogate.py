@@ -10,12 +10,13 @@ trust-region localization returns a new model fitted on nearby data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-from .problem import MosoError, latent_key
+from .problem import MosoError
 
 NUGGET_SCALE = 1e-8
 IMPROVE_TRIES = 100
@@ -157,37 +158,36 @@ class RbfSurrogate:
         dpower = -2.0 * (dk.T @ cho_solve(self._cho, k))
         return self.out_std[:, None] * dpower[None, :]
 
-    def set_center(self, center, points, values, n_design: int,
-                   local: bool = True) -> tuple["RbfSurrogate", TrustRegion]:
-        """Build the trust region at ``center`` and the model to use in it.
+    def set_center(self, region: TrustRegion, local: bool = True) -> "RbfSurrogate":
+        """The model to use inside ``region``.
 
-        When ``local`` the returned model is refitted on the data within
-        twice the region radius of the center (its shape parameter
-        recalibrates to the local spacing); otherwise self is reused.
+        When ``local`` the model is refitted on its own data within twice
+        the region radius of the center (its shape parameter recalibrates
+        to the local spacing); otherwise, or when the region is the whole
+        cube or holds fewer than two centers, self is reused.
         """
-        region = trust_region(center, np.asarray(points, dtype=float), n_design)
         if not local or region.radius >= 1.0:
-            return self, region
-        pts = np.asarray(points, dtype=float)
-        val = np.asarray(values, dtype=float)
-        nearby = np.linalg.norm(pts - region.center, axis=1) <= 2.0 * region.radius
+            return self
+        nearby = np.linalg.norm(self.centers - region.center, axis=1) <= 2.0 * region.radius
         if nearby.sum() < 2:
-            return self, region
-        return RbfSurrogate.fit(pts[nearby], val[nearby]), region
+            return self
+        return RbfSurrogate.fit(self.centers[nearby], self.values[nearby])
 
-    def improve(self, region: TrustRegion, points, rng: np.random.Generator) -> np.ndarray:
-        """Pick a latent point that refines the model inside the region.
+    def improve(self, region: TrustRegion, points, rng: np.random.Generator,
+                accept: Callable[[np.ndarray], Any]) -> Any:
+        """First accepted latent point that refines the model inside the region.
 
-        Samples are displaced from the region center along the local
-        data's principal axes with magnitudes inversely proportional to
-        the data variance, so poorly covered directions are favored.
-        Duplicates of existing points are rejected and resampled, ending
-        with uniform draws (region first, then the whole cube).
+        Draws are displaced from the region center along the principal
+        axes of the data ``points`` inside the region, with magnitudes
+        inversely proportional to the data variance, so poorly covered
+        directions are favored.  After IMPROVE_TRIES such draws come
+        IMPROVE_TRIES uniform draws in the region, then 10 * IMPROVE_TRIES
+        in the whole cube.  Returns ``accept(z)`` for the first draw ``z``
+        where it is not None, or None when every draw is rejected.
         """
         pts = np.asarray(points, dtype=float)
         dim = len(region.center)
         lo, hi = region.bounds()
-        taken = {latent_key(p) for p in pts}
 
         inside = np.abs(pts - region.center).max(axis=1) <= region.radius
         local = pts[inside] if inside.sum() >= dim + 1 else pts
@@ -199,17 +199,17 @@ class RbfSurrogate:
         sigma = 1.0 / (evals + 1e-8)
         sigma /= sigma.max()
 
-        for _ in range(IMPROVE_TRIES):
-            g = rng.standard_normal(dim) * sigma
-            z = np.clip(region.center + region.radius * (evecs @ g), lo, hi)
-            if latent_key(z) not in taken:
-                return z
-        for _ in range(IMPROVE_TRIES):
-            z = lo + rng.random(dim) * (hi - lo)
-            if latent_key(z) not in taken:
-                return z
-        for _ in range(10 * IMPROVE_TRIES):
-            z = rng.random(dim)
-            if latent_key(z) not in taken:
-                return z
-        return rng.random(dim)
+        def draws():
+            for _ in range(IMPROVE_TRIES):
+                g = rng.standard_normal(dim) * sigma
+                yield np.clip(region.center + region.radius * (evecs @ g), lo, hi)
+            for _ in range(IMPROVE_TRIES):
+                yield lo + rng.random(dim) * (hi - lo)
+            for _ in range(10 * IMPROVE_TRIES):
+                yield rng.random(dim)
+
+        for z in draws():
+            found = accept(z)
+            if found is not None:
+                return found
+        return None

@@ -18,6 +18,7 @@ from moso_kit.orchestrator import (
 )
 from moso_kit.problem import (
     AcquisitionSpec,
+    CustomEmbedder,
     DesignVariable,
     MoopDefinition,
     ObjectiveSpec,
@@ -25,6 +26,7 @@ from moso_kit.problem import (
     SearchConfig,
     SimulationSpec,
     ValidationError,
+    identity_objective,
     latent_key,
     sum_of_squares_constraint,
     sum_of_squares_objective,
@@ -154,6 +156,35 @@ def test_stalled_solve_yields_improvement_inside_local_region():
     region = trust_region(center, latents, 1)
     gap = np.abs(batch.points[0].latent - center).max()
     assert gap <= region.radius + 1e-12
+
+
+def test_solve_stops_when_an_iteration_proposes_nothing(caplog):
+    # Four integer levels are all spent by the initial design, so every
+    # later slot is dropped; the run must stop instead of spinning.
+    moop = MoopDefinition(
+        variables=[DesignVariable("k", "integer", 0, 3)],
+        simulations=[SimulationSpec("id", 1, lambda d: np.array([float(d["k"])]),
+                                    search=SearchConfig(q0=4))],
+        objectives=[identity_objective("up", 0), identity_objective("down", 0, scale=-1.0)],
+        acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+    )
+    solver = MoopSolver(moop)
+    proposals = []
+    iterate = solver.iterate
+
+    def guarded(k):
+        proposals.append(k)
+        if len(proposals) > 20:
+            raise RuntimeError("solve kept iterating without spending budget")
+        return iterate(k)
+
+    solver.iterate = guarded
+    with caplog.at_level("WARNING"):
+        result = solver.solve(8)
+    assert proposals == [0, 1]
+    assert result.evaluations == len(result.database) == 4
+    assert result.iterations == 1
+    assert any("proposed no unevaluated point" in r.message for r in caplog.records)
 
 
 def test_worker_count_does_not_change_results():
@@ -361,6 +392,49 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, label, make,
         assert a.iteration == b.iteration
     assert np.array_equal(straight.archive.objectives,
                           result.archive.objectives)
+
+
+def custom_level_moop():
+    """A continuous variable plus a custom one whose values are numpy ints."""
+    level = CustomEmbedder(width=1, to_latent=lambda v: np.array([v / 8.0]),
+                           from_latent=lambda z: np.int64(np.rint(8.0 * z[0])))
+    return MoopDefinition(
+        variables=[DesignVariable("x", "continuous", 0.0, 1.0),
+                   DesignVariable("level", "custom", embedder=level)],
+        simulations=[SimulationSpec("shift", 2,
+                                    lambda d: np.array([d["x"] - 0.3, d["level"] / 8.0 - 0.8]),
+                                    search=SearchConfig(q0=6))],
+        objectives=[sum_of_squares_objective("near_low", [0]),
+                    sum_of_squares_objective("near_high", [1])],
+        acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+        rng_seed=3,
+    )
+
+
+def test_checkpoint_resume_with_numpy_valued_custom_variable(tmp_path):
+    straight = MoopSolver(custom_level_moop()).solve(14)
+
+    path = tmp_path / "state.json"
+    MoopSolver(custom_level_moop(), checkpoint_path=str(path)).solve(10)
+    result = MoopSolver.checkpoint_load(str(path), custom_level_moop()).solve(14)
+
+    assert result.evaluations == straight.evaluations == 14
+    assert [r.design for r in result.database.records] == \
+        [r.design for r in straight.database.records]
+    assert all(type(r.design["level"]) is int for r in result.database.records)
+    assert np.array_equal(result.database.objective_matrix(),
+                          straight.database.objective_matrix())
+
+
+def test_checkpoint_rejects_problem_with_edited_terms(tmp_path):
+    def capped(cap):
+        return bowl_moop(q0=6, constraints=[sum_of_squares_constraint("cap", [0], cap=cap)])
+
+    path = tmp_path / "state.json"
+    MoopSolver(capped(10.0), checkpoint_path=str(path)).solve(9)
+    assert len(MoopSolver.checkpoint_load(str(path), capped(10.0)).database) == 9
+    with pytest.raises(CheckpointError, match="does not match"):
+        MoopSolver.checkpoint_load(str(path), capped(-5.0))
 
 
 def test_checkpoint_restores_counters_and_penalty(tmp_path):

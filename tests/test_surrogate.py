@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from moso_kit.problem import latent_key
-from moso_kit.surrogate import RbfSurrogate, SurrogateError, TrustRegion, trust_region
+from moso_kit.surrogate import (
+    IMPROVE_TRIES,
+    RbfSurrogate,
+    SurrogateError,
+    TrustRegion,
+    trust_region,
+)
 
 
 def fit_random(rng, n=25, dim=4, m=2):
@@ -165,9 +171,23 @@ def test_set_center_local_refit_stays_interpolating():
     vals = (pts ** 2).sum(axis=1, keepdims=True)
     model = RbfSurrogate.fit(pts, vals)
     center = pts[0]
-    local, region = model.set_center(center, pts, vals, n_design=3, local=True)
-    assert region.radius > 0
+    region = trust_region(center, pts, n_design=3)
+    local = model.set_center(region, local=True)
+    assert 2 <= local.n_points < model.n_points
     assert np.abs(local.evaluate(center) - vals[0]).max() <= 1e-6
+
+
+def test_set_center_global_or_whole_cube_reuses_model():
+    pts = np.random.default_rng(18).random((20, 2))
+    model = RbfSurrogate.fit(pts, pts[:, :1].copy())
+    assert model.set_center(trust_region(pts[0], pts, n_design=2), local=False) is model
+    assert model.set_center(TrustRegion(center=pts[0], radius=1.0)) is model
+
+
+def unused(points):
+    """Acceptance test that rejects the latent keys of ``points``."""
+    taken = {latent_key(p) for p in points}
+    return lambda z: z if latent_key(z) not in taken else None
 
 
 def test_improve_explores_low_variance_direction():
@@ -179,7 +199,7 @@ def test_improve_explores_low_variance_direction():
     region = TrustRegion(center=np.array([0.5, 0.5]), radius=0.3)
     hits = 0
     for _ in range(1000):
-        z = model.improve(region, pts, rng)
+        z = model.improve(region, pts, rng, unused(pts))
         if abs(z[1] - 0.5) > abs(z[0] - 0.5):
             hits += 1
     assert hits >= 900
@@ -190,7 +210,7 @@ def test_improve_one_dimensional_region():
     pts = np.array([[0.4], [0.6]])
     model = RbfSurrogate.fit(pts, pts.copy())
     region = TrustRegion(center=np.array([0.5]), radius=0.1)
-    z = model.improve(region, pts, rng)
+    z = model.improve(region, pts, rng, unused(pts))
     assert 0.4 <= z[0] <= 0.6
     assert latent_key(z) not in {latent_key(p) for p in pts}
 
@@ -200,7 +220,32 @@ def test_improve_zero_radius_falls_back_to_cube_sample():
     pts = np.array([[0.5, 0.5]])
     model = RbfSurrogate.fit(pts, np.ones((1, 1)))
     region = TrustRegion(center=np.array([0.5, 0.5]), radius=0.0)
-    z = model.improve(region, pts, rng)
+    z = model.improve(region, pts, rng, unused(pts))
     assert z.shape == (2,)
     assert (z >= 0).all() and (z <= 1).all()
     assert latent_key(z) != latent_key(pts[0])
+
+
+def test_improve_returns_first_accepted_draw():
+    pts = np.array([[0.4, 0.4], [0.6, 0.6], [0.4, 0.6]])
+    model = RbfSurrogate.fit(pts, np.ones((3, 1)))
+    region = TrustRegion(center=np.array([0.5, 0.5]), radius=0.2)
+    seen = []
+
+    def third(z):
+        seen.append(z)
+        return ("picked", z) if len(seen) == 3 else None
+
+    tag, z = model.improve(region, pts, np.random.default_rng(19), third)
+    assert tag == "picked" and z is seen[-1]
+    assert len(seen) == 3
+
+
+def test_improve_returns_none_when_every_draw_is_rejected():
+    pts = np.array([[0.5, 0.5]])
+    model = RbfSurrogate.fit(pts, np.ones((1, 1)))
+    region = TrustRegion(center=np.array([0.5, 0.5]), radius=0.1)
+    calls = []
+    assert model.improve(region, pts, np.random.default_rng(20),
+                         lambda z: calls.append(z)) is None
+    assert len(calls) == 12 * IMPROVE_TRIES
