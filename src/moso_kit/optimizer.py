@@ -222,9 +222,10 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
         alpha = 1.0
         accepted = None
         for _ in range(40):
-            z_new = np.clip(z + alpha * d, lo, hi)
+            # np.minimum/np.maximum give np.clip's values at less overhead.
+            z_new = np.minimum(np.maximum(z + alpha * d, lo), hi)
             step = z_new - z
-            if np.abs(step).max() == 0.0:
+            if not step.any():
                 break
             f_new = ev.value(z_new)
             if f_new <= f + config.armijo_c * (g @ step):

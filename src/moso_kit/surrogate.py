@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
+from ._blas import one_thread
 from .problem import MosoError
 
 NUGGET_SCALE = 1e-8
@@ -113,12 +114,13 @@ class RbfSurrogate:
         nugget = nugget_scale * np.trace(kernel) / len(pts)
         system = kernel + nugget * np.eye(len(pts))
         try:
-            cho = cho_factor(system, lower=True)
+            with one_thread():
+                cho = cho_factor(system, lower=True)
+                coef = cho_solve(cho, val)
         except np.linalg.LinAlgError as err:
             raise SurrogateError(
                 f"singular kernel system (cond ~ {np.linalg.cond(system):.3g})"
             ) from err
-        coef = cho_solve(cho, val)
         return cls(pts, coef, eps, nugget, cho, val.std(axis=0), val)
 
     def _kvec(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -148,3 +148,15 @@ def test_round_trip_and_exclusivity_randomized():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         check_round_trip_and_exclusivity(rng)
+
+
+def test_extract_clamps_like_clipping_the_latent_point():
+    plan = build_plan((DesignVariable("u", "continuous", lower=-2.0, upper=3.0),
+                       DesignVariable("k", "integer", lower=-3, upper=7),
+                       DesignVariable("c", "categorical", levels=("a", "b", "c"))))
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        z = rng.uniform(-0.2, 1.2, plan.latent_dim)
+        clipped = np.clip(z, 0.0, 1.0)
+        assert extract(plan, z) == extract(plan, clipped)
+        assert extract(plan, z)["u"] == min(max(-2.0 + clipped[0] * 5.0, -2.0), 3.0)

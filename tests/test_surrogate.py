@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moso_kit import _blas
 from moso_kit.problem import latent_key
 from moso_kit.surrogate import (
     IMPROVE_TRIES,
@@ -68,6 +69,21 @@ def test_duplicate_centers_rejected():
     pts = np.array([[0.1, 0.1], [0.1, 0.1]])
     with pytest.raises(SurrogateError):
         RbfSurrogate.fit(pts, np.zeros((2, 1)))
+
+
+def test_one_blas_thread_restores_the_thread_count():
+    def threads():
+        return _blas._get_threads() if _blas._get_threads else None
+
+    before = threads()
+    with _blas.one_thread():
+        assert threads() in (None, 1)
+    assert threads() == before
+    # 150 centers: a size OpenBLAS would factor in parallel.
+    pts, vals, model = fit_random(np.random.default_rng(3), n=150)
+    assert threads() == before
+    for p, v in zip(pts[:10], vals[:10]):
+        np.testing.assert_allclose(model.evaluate(p), v, atol=1e-5)
 
 
 def test_gradient_zero_for_single_center_model():
