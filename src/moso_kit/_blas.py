@@ -26,6 +26,14 @@ except (IndexError, OSError, AttributeError):
 _LOCK = threading.Lock()
 
 
+def thread_count():
+    """The thread count of scipy's bundled OpenBLAS, or None if it is not found."""
+    if _get_threads is None:
+        return None
+    with _LOCK:
+        return _get_threads()
+
+
 @contextlib.contextmanager
 def one_thread():
     """Run the block with scipy's bundled OpenBLAS, if found, on one thread."""

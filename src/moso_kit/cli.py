@@ -54,7 +54,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, testbed
+from . import __version__, _blas, testbed
 from .metrics import hypervolume, nondominated_filter, pct_hv_improvement
 from .orchestrator import MoopSolver
 from .problem import (
@@ -338,7 +338,9 @@ def main() -> None:
 @click.option("--budget", type=int, default=None, help="Total evaluation budget.")
 @click.option("--workers", type=int, default=1, show_default=True, help="Parallel simulation workers.")
 @click.option("--checkpoint", "checkpoint_path", type=click.Path(), default=None,
-              help="Checkpoint file; resumes from it when it already exists.")
+              help="Checkpoint state file, written after every iteration next to an "
+                   "append-only record journal (FILE.records); resumes from it when it "
+                   "already exists.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True,
               help="Directory for database.csv, pareto.csv, metrics.csv, run_meta.json.")
 def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
@@ -373,6 +375,7 @@ def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
         write_pareto_csv(out / "pareto.csv", moop, result.archive)
         write_metrics_csv(out / "metrics.csv", moop, records, ref)
         meta = {
+            "blas_threads": _blas.thread_count(),
             "budget": budget,
             "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
             "evaluations": result.evaluations,

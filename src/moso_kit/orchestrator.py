@@ -6,7 +6,8 @@ solves its penalized subproblem inside a trust region around its chosen
 start record, swaps duplicates for model-improvement points, and sends
 the resulting batch to a worker pool.  Results merge in batch order so
 runs are reproducible for any worker count, and the whole solver state
-(database, penalty, RNG streams) round-trips through JSON checkpoints.
+(database, penalty, RNG streams) round-trips through checkpoints: a small
+JSON state file plus an append-only journal of one JSON line per record.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acquisition as acq
-from . import embedding, optimizer
+from . import _blas, embedding, optimizer
 from .metrics import ParetoArchive
 from .problem import (
     EvaluationDatabase,
@@ -40,7 +42,7 @@ from .surrogate import RbfSurrogate, TrustRegion, trust_region
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(MosoError):
@@ -125,6 +127,9 @@ class MoopSolver:
         children = seq.spawn(1 + self.moop.q)
         self._search_rng = np.random.default_rng(children[0])
         self._acq_rngs = [np.random.default_rng(c) for c in children[1:]]
+        # (path, records, byte offset, running sha256) of the journal as of
+        # the last save or load, so a save appends without reading it.
+        self._journal = None
 
     # -- iteration ---------------------------------------------------------
 
@@ -298,32 +303,53 @@ class MoopSolver:
     # -- checkpoints ---------------------------------------------------------
 
     def checkpoint_save(self, path) -> None:
-        """Write the full mutable state as canonical JSON (atomic rename)."""
+        """Append new records to the journal, then atomically replace the state file.
+
+        The journal (``journal_path(path)``) holds one compact JSON line per
+        record.  The state file at ``path`` holds everything else plus how
+        many journal lines are valid and their sha256, so a crash between
+        the two writes leaves a journal tail that the next load ignores and
+        the next save truncates.  The first save to a path rewrites the
+        journal, since whatever is there belongs to another run.
+        """
+        path = os.fspath(path)
+        records = self.database.records
+        if self._journal is not None and self._journal[0] == path:
+            _, count, offset, digest = self._journal
+            mode = "r+b"
+        else:
+            count, offset, digest, mode = 0, 0, hashlib.sha256(), "wb"
+        digest = digest.copy()
+        with open(journal_path(path), mode) as fh:
+            fh.seek(offset)
+            fh.truncate()
+            for rec in records[count:]:
+                line = _record_line(rec)
+                digest.update(line)
+                fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())
+            offset = fh.tell()
         state = {
             "version": CHECKPOINT_VERSION,
             "problem": problem_fingerprint(self.moop),
             "iteration": self.iteration,
             "evaluations": self.evaluations,
             "penalty": self.penalty.value,
+            "blas_threads": _blas.thread_count(),
             "rng": {
                 "search": self._search_rng.bit_generator.state,
                 "acquisitions": [r.bit_generator.state for r in self._acq_rngs],
             },
-            "records": [
-                {
-                    "design": rec.design,
-                    "outputs": [o.tolist() for o in rec.sim_outputs],
-                    "objectives": rec.objectives.tolist(),
-                    "constraints": rec.constraints.tolist(),
-                    "iteration": rec.iteration,
-                }
-                for rec in self.database.records
-            ],
+            "records": {"count": len(records), "sha256": digest.hexdigest()},
         }
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(state, fh, sort_keys=True, indent=1)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        self._journal = (path, len(records), offset, digest)
 
     @classmethod
     def checkpoint_load(cls, path, moop, workers: int = 1,
@@ -331,14 +357,17 @@ class MoopSolver:
                         checkpoint_path=None) -> "MoopSolver":
         """Rebuild a solver mid-run from a checkpoint of the same problem.
 
-        Every stored record's objectives and constraints are recomputed
-        from its design and simulation outputs; a mismatch means the
-        problem was edited since the save and raises CheckpointError.
+        Replays the first ``count`` journal lines the state file names and
+        checks their sha256; later lines are a torn tail and are ignored.
+        Every record's objectives and constraints are recomputed from its
+        design and simulation outputs; a mismatch means the problem was
+        edited since the save and raises CheckpointError.
         """
+        path = os.fspath(path)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 state = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:
             raise CheckpointError(f"unreadable checkpoint {path}: {err}") from err
         try:
             version = state["version"]
@@ -349,30 +378,75 @@ class MoopSolver:
                          optimizer_config=optimizer_config)
             if state["problem"] != problem_fingerprint(solver.moop):
                 raise CheckpointError("checkpoint was written for a different problem")
-            solver.iteration = state["iteration"]
-            solver.evaluations = state["evaluations"]
-            solver.penalty.value = state["penalty"]
+            solver.iteration = _count(state["iteration"], "iteration")
+            solver.evaluations = _count(state["evaluations"], "evaluations")
+            penalty = state["penalty"]
+            if type(penalty) not in (int, float) or not math.isfinite(penalty):
+                raise CheckpointError(f"penalty must be a finite number, not {penalty!r}")
+            solver.penalty.value = float(penalty)
             solver._search_rng.bit_generator.state = state["rng"]["search"]
             for rng, st in zip(solver._acq_rngs, state["rng"]["acquisitions"]):
                 rng.bit_generator.state = st
-            for n, rec in enumerate(state["records"]):
-                s = [np.asarray(o, dtype=float) for o in rec["outputs"]]
-                added = solver.database.add(rec["design"], s,
-                                            np.asarray(rec["objectives"], dtype=float),
-                                            np.asarray(rec["constraints"], dtype=float),
-                                            rec["iteration"])
-                # The fingerprint covers names only; recomputing the terms
-                # catches edited caps, scales, coefficients and forms.
-                x, flat = added.design, added.concat_outputs()
-                try:
-                    same = (np.array_equal(eval_objectives(solver.moop, x, flat), added.objectives)
-                            and np.array_equal(eval_constraints(solver.moop, x, flat),
-                                               added.constraints))
-                except EvaluationError:
-                    same = False
-                if not same:
-                    raise CheckpointError(f"record {n} of {path} does not match the problem's "
-                                          "objectives or constraints")
-        except (KeyError, TypeError, IndexError) as err:
+            threads = _blas.thread_count()
+            if state["blas_threads"] != threads:
+                logger.warning("checkpoint %s was written with %s BLAS threads, resuming with %s; "
+                               "the run may not repeat bitwise", path, state["blas_threads"],
+                               threads)
+            count = _count(state["records"]["count"], "record count")
+            digest = hashlib.sha256()
+            with open(journal_path(path), "rb") as fh:
+                for n in range(count):
+                    line = fh.readline()
+                    if not line.endswith(b"\n"):
+                        raise CheckpointError(f"journal {journal_path(path)} holds {n} of "
+                                              f"{count} records")
+                    digest.update(line)
+                    solver._restore_record(json.loads(line), n, path)
+                offset = fh.tell()
+            if digest.hexdigest() != state["records"]["sha256"]:
+                raise CheckpointError(f"journal {journal_path(path)} does not match the "
+                                      "digest in the state file")
+        except (OSError, KeyError, TypeError, IndexError, ValueError, DuplicatePointError) as err:
             raise CheckpointError(f"corrupt checkpoint {path}: {err}") from err
+        solver._journal = (path, count, offset, digest)
         return solver
+
+    def _restore_record(self, rec, n, path) -> None:
+        s = [np.asarray(o, dtype=float) for o in rec["outputs"]]
+        added = self.database.add(rec["design"], s,
+                                  np.asarray(rec["objectives"], dtype=float),
+                                  np.asarray(rec["constraints"], dtype=float),
+                                  rec["iteration"])
+        # The fingerprint covers names only; recomputing the terms
+        # catches edited caps, scales, coefficients and forms.
+        x, flat = added.design, added.concat_outputs()
+        try:
+            same = (np.array_equal(eval_objectives(self.moop, x, flat), added.objectives)
+                    and np.array_equal(eval_constraints(self.moop, x, flat), added.constraints))
+        except EvaluationError:
+            same = False
+        if not same:
+            raise CheckpointError(f"record {n} of {path} does not match the problem's "
+                                  "objectives or constraints")
+
+
+def journal_path(path) -> str:
+    """The record journal that belongs to the checkpoint state file ``path``."""
+    return f"{os.fspath(path)}.records"
+
+
+def _record_line(rec) -> bytes:
+    """One record as a compact, newline-terminated JSON journal line."""
+    return (json.dumps({
+        "design": rec.design,
+        "outputs": [o.tolist() for o in rec.sim_outputs],
+        "objectives": rec.objectives.tolist(),
+        "constraints": rec.constraints.tolist(),
+        "iteration": rec.iteration,
+    }, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _count(value, name) -> int:
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"{name} must be a non-negative integer, not {value!r}")
+    return value

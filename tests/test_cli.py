@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from moso_kit import _blas
 from moso_kit.cli import main
 
 
@@ -75,6 +76,7 @@ def test_run_writes_all_artifacts(tmp_path):
     assert meta["evaluations"] == 24
     assert meta["seed"] == 0
     assert meta["workers"] == 1
+    assert meta["blas_threads"] == _blas.thread_count()
     assert meta["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 

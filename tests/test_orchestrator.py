@@ -1,13 +1,15 @@
 """Solver loop tests: budgets, dedup, batch merging, penalties, checkpoints."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from moso_kit import testbed
+from moso_kit import _blas, testbed
 from moso_kit.embedding import embed
 from moso_kit.metrics import ParetoArchive
 from moso_kit.orchestrator import (
@@ -15,6 +17,7 @@ from moso_kit.orchestrator import (
     CandidateBatch,
     CheckpointError,
     MoopSolver,
+    journal_path,
 )
 from moso_kit.problem import (
     AcquisitionSpec,
@@ -356,9 +359,12 @@ def test_archive_empty_when_nothing_is_feasible():
     assert len(result.archive) == 0
 
 
+def dtlz2_small():
+    return testbed.dtlz2_moop(n=3, o=2, q0=10, batch=3, seed=7)
+
+
 CHECKPOINT_CONFIGS = [
-    ("dtlz2", lambda: testbed.dtlz2_moop(n=3, o=2, q0=10, batch=3, seed=7),
-     16, 22),
+    ("dtlz2", dtlz2_small, 16, 22),
     ("reactor", lambda: testbed.cfr_moop(structured=True, q0=10, batch=3,
                                          seed=11), 16, 22),
     ("calibration", lambda: testbed.residuals_moop(structured=True, q0=8,
@@ -378,8 +384,10 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, label, make,
     assert path.exists()
 
     resumed = MoopSolver.checkpoint_load(str(path), make())
-    result = resumed.solve(budget)
+    assert_same_run(straight, resumed.solve(budget))
 
+
+def assert_same_run(straight, result):
     assert result.evaluations == straight.evaluations
     assert result.iterations == straight.iterations
     assert len(result.database) == len(straight.database)
@@ -392,6 +400,16 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, label, make,
         assert a.iteration == b.iteration
     assert np.array_equal(straight.archive.objectives,
                           result.archive.objectives)
+
+
+def journal_lines(path):
+    return Path(journal_path(path)).read_bytes().splitlines(keepends=True)
+
+
+def edit_state(path, **fields):
+    state = json.loads(path.read_text())
+    state.update(fields)
+    path.write_text(json.dumps(state))
 
 
 def custom_level_moop():
@@ -471,11 +489,126 @@ def test_checkpoint_rejects_garbage_and_bad_versions(tmp_path):
 
     good = tmp_path / "good.json"
     MoopSolver(bowl_moop(q0=6), checkpoint_path=str(good)).solve(6)
-    state = json.loads(good.read_text())
-    state["version"] = 99
-    good.write_text(json.dumps(state))
-    with pytest.raises(CheckpointError):
-        MoopSolver.checkpoint_load(str(good), bowl_moop(q0=6))
+    for version in (1, 99):
+        edit_state(good, version=version)
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            MoopSolver.checkpoint_load(str(good), bowl_moop(q0=6))
+
+
+def test_checkpoint_resume_ignores_then_drops_a_torn_journal_tail(tmp_path):
+    straight = MoopSolver(dtlz2_small()).solve(22)
+
+    path = tmp_path / "state.json"
+    first = MoopSolver(dtlz2_small(), checkpoint_path=str(path))
+    first.solve(13)
+    saved, count = path.read_bytes(), len(first.database)
+    first.solve(16)
+    # A crash between the journal append and the state replace, in the
+    # middle of the next append: the state names fewer lines than exist.
+    path.write_bytes(saved)
+    with open(journal_path(path), "ab") as fh:
+        fh.write(journal_lines(path)[-1][:40])
+
+    resumed = MoopSolver.checkpoint_load(str(path), dtlz2_small())
+    assert len(resumed.database) == count
+    result = resumed.solve(22)
+    assert_same_run(straight, result)
+    assert len(journal_lines(path)) == len(result.database)
+    reloaded = MoopSolver.checkpoint_load(str(path), dtlz2_small())
+    assert np.array_equal(reloaded.database.objective_matrix(),
+                          result.database.objective_matrix())
+
+
+def test_first_save_replaces_a_stale_journal(tmp_path):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6, seed=1), checkpoint_path=str(path)).solve(12)
+    path.unlink()
+
+    result = MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+    assert len(journal_lines(path)) == len(result.database)
+    reloaded = MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+    assert ([r.design for r in reloaded.database.records]
+            == [r.design for r in result.database.records])
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("reordered", "does not match the digest"),
+    ("short", "holds 7 of 9 records"),
+    ("missing", "corrupt checkpoint"),
+], ids=["reordered", "short", "missing"])
+def test_checkpoint_rejects_a_damaged_journal(tmp_path, damage, message):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+    journal = Path(journal_path(path))
+    lines = journal_lines(path)
+    assert len(lines) == 9
+    if damage == "reordered":
+        journal.write_bytes(b"".join([lines[1], lines[0], *lines[2:]]))
+    elif damage == "short":
+        journal.write_bytes(b"".join(lines[:7]) + lines[7][:20])
+    else:
+        journal.unlink()
+    with pytest.raises(CheckpointError, match=message):
+        MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+
+
+def test_load_with_another_checkpoint_path_writes_a_whole_journal(tmp_path):
+    path, other = tmp_path / "state.json", tmp_path / "other.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+
+    result = MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6),
+                                        checkpoint_path=str(other)).solve(12)
+    assert len(journal_lines(other)) == len(result.database)
+    reloaded = MoopSolver.checkpoint_load(str(other), bowl_moop(q0=6))
+    assert np.array_equal(reloaded.database.objective_matrix(),
+                          result.database.objective_matrix())
+
+
+MT19937_STATE = {"bit_generator": "MT19937", "state": {"key": [0] * 624, "pos": 0}}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("penalty", "x", "penalty"), ("penalty", float("inf"), "penalty"), ("penalty", None, "penalty"),
+    ("iteration", -1, "iteration"), ("iteration", 2.0, "iteration"),
+    ("evaluations", "9", "evaluations"), ("evaluations", True, "evaluations"),
+    ("rng", {"search": MT19937_STATE, "acquisitions": []}, "PCG64"),
+])
+def test_checkpoint_rejects_corrupt_state_fields(tmp_path, field, value, message):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+    edit_state(path, **{field: value})
+    with pytest.raises(CheckpointError, match=message):
+        MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+
+
+def test_checkpoint_rejects_non_numeric_outputs(tmp_path):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+    lines = journal_lines(path)
+    rec = json.loads(lines[0])
+    rec["outputs"] = [["near", "far"]]
+    lines[0] = (json.dumps(rec) + "\n").encode()
+    blob = b"".join(lines)
+    Path(journal_path(path)).write_bytes(blob)
+    # The digest matches, so only the outputs themselves are wrong.
+    edit_state(path, records={"count": len(lines), "sha256": hashlib.sha256(blob).hexdigest()})
+    with pytest.raises(CheckpointError, match="could not convert"):
+        MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+
+
+def test_checkpoint_records_blas_threads_and_warns_on_a_change(tmp_path, caplog):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(6)
+    threads = json.loads(path.read_text())["blas_threads"]
+    assert threads == _blas.thread_count()
+    with caplog.at_level("WARNING"):
+        MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+    assert not any("BLAS threads" in r.message for r in caplog.records)
+
+    edit_state(path, blas_threads=(threads or 0) + 3)
+    with caplog.at_level("WARNING"):
+        MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+    assert any(f"with {(threads or 0) + 3} BLAS threads" in r.message for r in caplog.records)
 
 
 def test_missing_checkpoint_raises(tmp_path):
