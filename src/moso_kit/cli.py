@@ -35,7 +35,8 @@ A run is described by a JSON config document::
 
 ``count`` expands a variable entry into name1..nameN.  Simulation
 evaluators come from the built-in testbed registry; ``delay`` wraps them
-in a uniform random sleep.  ``metrics.ref`` fixes the hypervolume
+in a uniform random sleep of ``[lower, upper]`` seconds, two finite
+numbers with ``0 <= lower <= upper``.  ``metrics.ref`` fixes the hypervolume
 reference point; without it the feasible nadir of the finished run is
 used.  Exit codes: 0 on success, 2 for config problems, 3 for runtime
 failures.
@@ -47,6 +48,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -139,12 +141,22 @@ def _build_simulations(entries, variables, seed):
         delay = entry.get("delay")
         if delay is not None:
             evaluator = testbed.delay_wrapper(
-                evaluator, delay[0], delay[1],
+                evaluator, *_delay_range(delay, f"simulation {name!r}"),
                 np.random.default_rng(np.random.SeedSequence([seed, 1000 + i])))
         sims.append(SimulationSpec(name, output_dim, evaluator,
                                    search=SearchConfig(q0=entry.get("q0", 100)),
                                    surrogate=SurrogateConfig(local=entry.get("local", True))))
     return sims
+
+
+def _delay_range(delay, where):
+    """``delay`` as (lower, upper) seconds: two finite numbers, 0 <= lower <= upper."""
+    if (isinstance(delay, list) and len(delay) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in delay)
+            and 0.0 <= delay[0] <= delay[1] < math.inf):
+        return float(delay[0]), float(delay[1])
+    raise ConfigError(f"{where}: delay must be [lower, upper] seconds "
+                      f"with 0 <= lower <= upper, got {delay!r}")
 
 
 def _dtlz2_evaluator(var_names, n_objectives):
@@ -475,10 +487,10 @@ def bench_scaling(workers_list, sim_delay, budget) -> None:
     """Walltime of one fixed delayed problem across worker counts."""
     try:
         counts = [int(v) for v in workers_list.split(",")]
-        t_min, t_max = (float(v) for v in sim_delay.split(","))
-        if not counts or any(c < 1 for c in counts) or t_min < 0 or t_max < t_min:
-            raise ValueError("bad workers or delay range")
-    except ValueError as err:
+        t_min, t_max = _delay_range([float(v) for v in sim_delay.split(",")], "--sim-delay")
+        if not counts or any(c < 1 for c in counts):
+            raise ValueError("bad workers count")
+    except (ValueError, ConfigError) as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(2)
 

@@ -10,7 +10,11 @@ total constraint violation is added to every objective.  Gradients flow
 through the surrogate Jacobians and the objective/constraint gradients,
 with a forward finite-difference fallback on the latent cube for
 anything that does not supply one.  The solve itself is a projected
-BFGS with Armijo backtracking.
+BFGS with Armijo backtracking.  It stops once an accepted step lowers
+the value by no more than ``decrease_factor`` relative to the new value,
+the relative-reduction test of L-BFGS-B: near the kink of an
+epsilon-constraint scalarization the steps otherwise keep shrinking and
+each costs up to 40 line-search trials.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ class OptimizerConfig:
     armijo_c: float = 1e-4
     grad_tol: float = 1e-8
     #: relative decrease needed to return a candidate instead of
-    #: requesting a model-improvement step
+    #: requesting a model-improvement step; an accepted step that
+    #: decreases the value by no more than this also ends the iterations
     decrease_factor: float = 1e-8
     fd_step: float = 1e-6
     kappa: float = 0.0
@@ -98,7 +103,9 @@ class SubproblemEvaluator:
         x = embedding.extract(self.plan, z)
         s = self._predict(z)
         f = self._penalized_objectives(x, s)
-        sigma = self._sigma(z) if self.state.kappa != 0.0 else None
+        sigma = None
+        if self.state.kappa != 0.0 and self.state.weights is not None:
+            sigma = self._sigma(z)
         return scalarize(self.state, f, sigma)
 
     def _sigma(self, z):
@@ -197,9 +204,12 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
           lam: float, config: OptimizerConfig = OptimizerConfig()) -> SolveOutcome:
     """Projected BFGS over the trust-region box.
 
-    Returns a candidate when the final value improves on the start by at
-    least ``decrease_factor * max(1, |start|)``; otherwise the candidate
-    is None and a model-improvement point should be generated instead.
+    Iterates until the projected gradient vanishes, the line search
+    fails, ``max_iterations`` is reached, or an accepted step lowers the
+    value by at most ``decrease_factor * max(1, |new value|)``.  Returns
+    a candidate when the final value improves on the start by at least
+    ``decrease_factor * max(1, |start|)``; otherwise the candidate is
+    None and a model-improvement point should be generated instead.
     """
     ev = SubproblemEvaluator(moop, state, surrogates, lam, config)
     lo, hi = region.bounds()
@@ -236,6 +246,9 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
             break
 
         z_new, f_new = accepted
+        if f - f_new <= config.decrease_factor * max(1.0, abs(f_new)):
+            z, f = z_new, f_new
+            break
         g_new = ev.value_and_grad(z_new)[1]
         step = z_new - z
         y = g_new - g

@@ -146,6 +146,19 @@ def test_config_errors_exit_2(tmp_path):
     assert run_cli(["run", "--config", str(path), "--workers", "0"]).exit_code == 2
 
 
+@pytest.mark.parametrize("delay", [
+    [0.0], [-1.0, 0.0], [0.2, 0.1], [0.0, "0.1"], [0.0, float("inf")],
+    [float("nan"), 0.1], 0.1,
+], ids=["short", "negative", "reversed", "string", "infinite", "nan", "scalar"])
+def test_bad_simulation_delay_is_a_config_error(tmp_path, delay):
+    cfg = small_config()
+    cfg["simulations"][0]["delay"] = delay
+    path = write_config(tmp_path, cfg)
+    result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+
+
 def test_runtime_errors_exit_3(tmp_path):
     # Budget below the initial design is a solve-time failure.
     path = write_config(tmp_path, small_config(budget=5))

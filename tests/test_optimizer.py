@@ -199,3 +199,59 @@ def test_uncertainty_bonus_changes_value():
     v1, _ = penalized_value(moop, bonus, z, [model], lam=1.0,
                             config=OptimizerConfig(kappa=5.0))
     assert v1 < v0
+
+
+def counted_objective(name, func, grad, calls):
+    def counted(x, s):
+        calls[0] += 1
+        return func(x, s)
+
+    return ObjectiveSpec(name, counted, grad)
+
+
+@pytest.mark.parametrize("start, expected", [
+    ((0.9, 0.2), (0.69, 0.2)),
+    ((0.95, 0.9), (0.76, 0.9)),
+    ((0.7, 0.7), (0.64, 0.7)),
+])
+def test_solve_stops_crawling_along_an_epsilon_kink(start, expected):
+    # The optimum sits on the kink f2 = eps where the RHO penalty switches
+    # on; the BFGS model cannot update there and its steps keep shrinking.
+    calls = [0]
+    f1 = counted_objective("f1", lambda x, s: x["x1"],
+                           lambda x, s: ({"x1": 1.0}, np.empty(0)), calls)
+    f2 = counted_objective(
+        "f2", lambda x, s: 1.0 - x["x1"] + (x["x2"] - 0.5) ** 2,
+        lambda x, s: ({"x1": -1.0, "x2": 2.0 * (x["x2"] - 0.5)}, np.empty(0)), calls)
+    moop = make_moop(n_vars=2, objectives=[f1, f2])
+    state = ScalarizationState("random_epsilon_constraint", target=0,
+                               epsilons=np.array([0.0, 0.4]))
+    region = TrustRegion(center=np.array([0.5, 0.5]), radius=0.5)
+    outcome = solve(moop, state, [], np.array(start), region, lam=1.0)
+    assert outcome.candidate is not None
+    np.testing.assert_allclose(outcome.candidate, expected, rtol=0.0, atol=1e-6)
+    assert calls[0] < 600
+
+
+def test_epsilon_constraint_value_skips_the_unused_uncertainty(monkeypatch):
+    moop = make_moop(
+        sim_dim=2,
+        objectives=[identity_objective("f1", 0), identity_objective("f2", 1)],
+    )
+    pts = np.array([[0.2], [0.8]])
+    model = RbfSurrogate.fit(pts, np.array([[1.0, 3.0], [2.0, 0.5]]))
+    state = ScalarizationState("random_epsilon_constraint", target=0,
+                               epsilons=np.array([0.0, 1.0]), kappa=2.0)
+    ev = SubproblemEvaluator(moop, state, [model], lam=1.0)
+    calls = [0]
+    uncertainty = RbfSurrogate.uncertainty
+
+    def counted(self, z):
+        calls[0] += 1
+        return uncertainty(self, z)
+
+    monkeypatch.setattr(RbfSurrogate, "uncertainty", counted)
+    z = np.array([0.5])
+    value = ev.value(z)
+    assert value == ev.value_and_grad(z)[0]
+    assert calls[0] == 0
