@@ -100,6 +100,20 @@ def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
     return g
 
 
+def scalarize_rows(state: ScalarizationState, objs: np.ndarray) -> np.ndarray:
+    """``scalarize`` of each row of ``objs`` (uncertainty zero), bitwise.
+
+    The epsilon-constraint kind runs as one array pass, whose row sums
+    match the per-vector sums exactly.  The weight kinds keep one
+    ``w @ f`` per row: no array form reproduces its rounding.
+    """
+    if state.weights is not None:
+        return np.array([scalarize(state, fv) for fv in objs])
+    over = np.maximum(objs - state.epsilons, 0.0)
+    over[:, state.target] = 0.0
+    return objs[:, state.target] + RHO * over.sum(axis=1)
+
+
 def select_start(state: ScalarizationState, database: EvaluationDatabase,
                  penalty_lambda: float) -> int:
     """Index of the evaluated record to center this acquisition's solve on.
@@ -110,8 +124,7 @@ def select_start(state: ScalarizationState, database: EvaluationDatabase,
     """
     if len(database) == 0:
         raise ValueError("cannot select a start point from an empty database")
-    objs = database.objective_matrix()
-    scores = np.array([scalarize(state, fv) for fv in objs])
+    scores = scalarize_rows(state, database.objective_matrix())
     feas = database.feasible_mask()
     if feas.any():
         idx = np.flatnonzero(feas)

@@ -12,17 +12,13 @@ logger = logging.getLogger(__name__)
 MC_SAMPLES = 1_000_000
 
 
-def _dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """a dominates b: componentwise <= with strict < somewhere."""
-    return bool((a <= b).all() and (a < b).any())
-
-
 def nondominated_filter(points) -> np.ndarray:
     """Indices (ascending) of the nondominated points.
 
     Exact duplicate objective vectors keep only their first occurrence.
     Implemented as a lexicographic sweep with an incremental archive: a
-    point later in lexicographic order can never dominate an earlier one.
+    point later in lexicographic order can never dominate an earlier one,
+    so each point is tested against the points kept so far, as one block.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -33,15 +29,17 @@ def nondominated_filter(points) -> np.ndarray:
     order = np.lexsort(pts.T[::-1])  # primary key = first objective; stable
     kept: list[int] = []
     seen: set[bytes] = set()
-    archive: list[np.ndarray] = []
+    archive = np.empty_like(pts)
     for i in order:
-        key = pts[i].tobytes()
+        p = pts[i]
+        key = p.tobytes()
         if key in seen:
             continue
         seen.add(key)
-        if any(_dominates(a, pts[i]) for a in archive):
+        a = archive[:len(kept)]
+        if ((a <= p).all(axis=1) & (a < p).any(axis=1)).any():
             continue
-        archive.append(pts[i])
+        archive[len(kept)] = p
         kept.append(i)
     return np.array(sorted(kept), dtype=int)
 

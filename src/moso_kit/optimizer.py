@@ -69,6 +69,10 @@ class SubproblemEvaluator:
             for vi, offset, width in self.plan.numeric_slots
             if self.plan.variables[vi].kind == "continuous"
         ]
+        # Extraction runs at every trial point, so skip it when no term
+        # declares that it reads the design.
+        self._reads_design = any(spec.reads_design
+                                 for spec in moop.objectives + moop.constraints)
 
     def _predict(self, z):
         if not self.surrogates:
@@ -99,37 +103,39 @@ class SubproblemEvaluator:
             f = f + self.lam * np.maximum(g, 0.0).sum()
         return f
 
+    def _design(self, z):
+        return embedding.extract(self.plan, z) if self._reads_design else {}
+
     def value(self, z: np.ndarray) -> float:
-        x = embedding.extract(self.plan, z)
+        x = self._design(z)
         s = self._predict(z)
         f = self._penalized_objectives(x, s)
         sigma = None
         if self.state.kappa != 0.0 and self.state.weights is not None:
-            sigma = self._sigma(z)
+            sigma = self._sigma(self._uncertainty(z))
         return scalarize(self.state, f, sigma)
 
-    def _sigma(self, z):
+    def _uncertainty(self, z):
         if not self.surrogates:
             return np.empty(0)
-        u = np.concatenate([s.uncertainty(z) for s in self.surrogates])
+        return np.concatenate([s.uncertainty(z) for s in self.surrogates])
+
+    def _sigma(self, u):
         # Uncertainty enters the scalarization per objective; objectives
         # see the sim-output uncertainties only through their own reads,
         # so expose a conservative uniform proxy: the max output spread.
         return np.full(self.moop.o, float(u.max()) if u.size else 0.0)
 
-    def _sigma_jacobian(self, z):
-        if not self.surrogates:
-            return np.zeros((self.moop.o, len(z)))
-        us = np.concatenate([s.uncertainty(z) for s in self.surrogates])
-        if us.size == 0:
+    def _sigma_jacobian(self, z, u):
+        if u.size == 0:
             return np.zeros((self.moop.o, len(z)))
         grads = np.vstack([s.uncertainty_gradient(z) for s in self.surrogates])
-        row = grads[int(np.argmax(us))]
+        row = grads[int(np.argmax(u))]
         return np.tile(row, (self.moop.o, 1))
 
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         dim = len(z)
-        x = embedding.extract(self.plan, z)
+        x = self._design(z)
         s = self._predict(z)
         js = self._predict_jacobian(z)
 
@@ -174,8 +180,9 @@ class SubproblemEvaluator:
         grad = dq @ df_pen
         sigma = None
         if self.state.kappa != 0.0 and self.state.weights is not None:
-            sigma = self._sigma(z)
-            grad -= self.state.kappa * (self.state.weights @ self._sigma_jacobian(z))
+            u = self._uncertainty(z)
+            sigma = self._sigma(u)
+            grad -= self.state.kappa * (self.state.weights @ self._sigma_jacobian(z, u))
         return scalarize(self.state, f_pen, sigma), grad
 
     def _fd_fill(self, z, x, s, f, gvals, df, dviol, fd_objs, fd_cons):

@@ -109,11 +109,19 @@ class ObjectiveSpec:
     continuous-variable names to partials and ``ds`` is the partial with
     respect to the simulation output vector.  Missing grads fall back to
     forward finite differences on the latent cube inside the optimizer.
+
+    ``reads_design`` (default True) declares that ``func`` or ``grad``
+    reads the design point.  Set it to False only when both ignore it:
+    when no term of a problem reads the design, the inner solve passes an
+    empty dict instead of extracting the design at every trial point.
+    The built-in sim-output forms (``identity_*``, ``sum_of_squares_*``,
+    ``linear_objective``) declare False; ``variable_objective`` keeps True.
     """
 
     name: str
     func: Callable[[DesignPoint, np.ndarray], float]
     grad: Callable[[DesignPoint, np.ndarray], tuple[dict, np.ndarray]] | None = None
+    reads_design: bool = True
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,7 @@ class ConstraintSpec:
     name: str
     func: Callable[[DesignPoint, np.ndarray], float]
     grad: Callable[[DesignPoint, np.ndarray], tuple[dict, np.ndarray]] | None = None
+    reads_design: bool = True
 
 
 @dataclass(frozen=True)
@@ -363,9 +372,6 @@ class EvaluationDatabase:
     def __len__(self) -> int:
         return len(self.records)
 
-    def key_of(self, design: DesignPoint) -> bytes:
-        return latent_key(embedding.embed(self.plan, design))
-
     def has_key(self, key: bytes) -> bool:
         return key in self._index
 
@@ -422,7 +428,7 @@ def identity_objective(name: str, index: int, scale: float = 1.0) -> ObjectiveSp
         ds[index] = scale
         return {}, ds
 
-    return ObjectiveSpec(name, func, grad)
+    return ObjectiveSpec(name, func, grad, reads_design=False)
 
 
 def sum_of_squares_objective(name: str, indices) -> ObjectiveSpec:
@@ -438,7 +444,7 @@ def sum_of_squares_objective(name: str, indices) -> ObjectiveSpec:
         ds[idx] = 2.0 * s[idx]
         return {}, ds
 
-    return ObjectiveSpec(name, func, grad)
+    return ObjectiveSpec(name, func, grad, reads_design=False)
 
 
 def variable_objective(name: str, variable: str, scale: float = 1.0) -> ObjectiveSpec:
@@ -463,7 +469,7 @@ def linear_objective(name: str, coeffs, const: float = 0.0) -> ObjectiveSpec:
     def grad(x, s):
         return {}, c.copy()
 
-    return ObjectiveSpec(name, func, grad)
+    return ObjectiveSpec(name, func, grad, reads_design=False)
 
 
 def sum_of_squares_constraint(name: str, indices, cap: float) -> ConstraintSpec:
@@ -479,7 +485,7 @@ def sum_of_squares_constraint(name: str, indices, cap: float) -> ConstraintSpec:
         ds[idx] = 2.0 * s[idx]
         return {}, ds
 
-    return ConstraintSpec(name, func, grad)
+    return ConstraintSpec(name, func, grad, reads_design=False)
 
 
 def identity_constraint(name: str, index: int, cap: float, scale: float = 1.0) -> ConstraintSpec:
@@ -493,4 +499,4 @@ def identity_constraint(name: str, index: int, cap: float, scale: float = 1.0) -
         ds[index] = scale
         return {}, ds
 
-    return ConstraintSpec(name, func, grad)
+    return ConstraintSpec(name, func, grad, reads_design=False)

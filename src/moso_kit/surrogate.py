@@ -39,10 +39,6 @@ class TrustRegion:
         hi = np.clip(self.center + self.radius, 0.0, 1.0)
         return lo, hi
 
-    def contains(self, z: np.ndarray) -> bool:
-        lo, hi = self.bounds()
-        return bool((z >= lo).all() and (z <= hi).all())
-
 
 def trust_region(center: np.ndarray, points: np.ndarray, n_design: int) -> TrustRegion:
     """Region radius = latent distance to the (n_design+1)-th nearest neighbor.

@@ -9,6 +9,7 @@ from moso_kit.acquisition import (
     refresh,
     scalarize,
     scalarize_gradient,
+    scalarize_rows,
     select_start,
 )
 from moso_kit.embedding import build_plan
@@ -204,17 +205,27 @@ def test_select_start_empty_database_raises():
 
 def test_select_start_matches_brute_force():
     rng = np.random.default_rng(7)
-    for _ in range(50):
+    for trial in range(100):
         n = int(rng.integers(1, 100))
-        o = int(rng.integers(1, 4))
-        objs = np.round(rng.uniform(0.0, 3.0, (n, o)), 1)
         viol = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 5.0, n), 0.0)
+        if trial % 2 == 0:
+            o = int(rng.integers(1, 4))
+            objs = np.round(rng.uniform(0.0, 3.0, (n, o)), 1)
+            w = rng.exponential(1.0, o)
+            state = ScalarizationState("random_weight", weights=w / w.sum())
+        else:
+            # Continuous values, so that a change in summation order shows.
+            o = int(rng.integers(2, 6))
+            objs = rng.uniform(0.0, 3.0, (n, o))
+            mix = rng.uniform()
+            state = ScalarizationState(
+                "random_epsilon_constraint", target=int(rng.integers(o)),
+                epsilons=mix * objs[rng.integers(n)] + (1.0 - mix) * objs[rng.integers(n)])
         db = make_database(objs, violations=viol)
-        w = rng.exponential(1.0, o)
-        state = ScalarizationState("random_weight", weights=w / w.sum())
         lam = float(rng.uniform(0.1, 100.0))
 
-        scores = objs @ state.weights
+        scores = np.array([scalarize(state, fv) for fv in objs])
+        assert np.array_equal(scalarize_rows(state, db.objective_matrix()), scores)
         feasible = viol <= 1e-8
         if feasible.any():
             candidates = np.flatnonzero(feasible)

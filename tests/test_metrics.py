@@ -45,6 +45,15 @@ def test_filter_matches_brute_force_randomized():
         got = nondominated_filter(pts).tolist()
         want = brute_force_nondominated(pts)
         assert got == want, f"trial {trial}"
+    for trial in range(40):
+        # Archive-sized continuous fronts with injected exact duplicates.
+        n = int(rng.integers(1, 301))
+        o = int(rng.integers(1, 6))
+        pts = rng.uniform(0.0, 1.0, size=(n, o))
+        pts[rng.integers(0, n, n // 5)] = pts[rng.integers(0, n, n // 5)]
+        got = nondominated_filter(pts).tolist()
+        want = brute_force_nondominated(pts)
+        assert got == want, f"continuous trial {trial}"
 
 
 def test_hv_single_point_box_volume():

@@ -1,8 +1,11 @@
 """Inner projected-BFGS solves of the scalarized surrogate subproblem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from moso_kit import embedding
 from moso_kit.acquisition import ScalarizationState
 from moso_kit.optimizer import (
     OptimizerConfig,
@@ -18,7 +21,10 @@ from moso_kit.problem import (
     SimulationSpec,
     identity_constraint,
     identity_objective,
+    linear_objective,
+    sum_of_squares_constraint,
     validate,
+    variable_objective,
 )
 from moso_kit.surrogate import RbfSurrogate, TrustRegion
 
@@ -233,6 +239,19 @@ def test_solve_stops_crawling_along_an_epsilon_kink(start, expected):
     assert calls[0] < 600
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_epsilon_constraint_value_skips_the_unused_uncertainty(monkeypatch):
     moop = make_moop(
         sim_dim=2,
@@ -243,15 +262,102 @@ def test_epsilon_constraint_value_skips_the_unused_uncertainty(monkeypatch):
     state = ScalarizationState("random_epsilon_constraint", target=0,
                                epsilons=np.array([0.0, 1.0]), kappa=2.0)
     ev = SubproblemEvaluator(moop, state, [model], lam=1.0)
-    calls = [0]
-    uncertainty = RbfSurrogate.uncertainty
-
-    def counted(self, z):
-        calls[0] += 1
-        return uncertainty(self, z)
-
-    monkeypatch.setattr(RbfSurrogate, "uncertainty", counted)
+    calls = count_calls(monkeypatch, RbfSurrogate, "uncertainty")
     z = np.array([0.5])
     value = ev.value(z)
     assert value == ev.value_and_grad(z)[0]
     assert calls[0] == 0
+
+
+def test_sim_output_only_problem_skips_design_extraction(monkeypatch):
+    moop = make_moop(
+        n_vars=2,
+        sim_dim=2,
+        objectives=[identity_objective("f1", 0), linear_objective("f2", [1.0, -1.0])],
+        constraints=[sum_of_squares_constraint("g1", [0, 1], 1.0)],
+    )
+    pts = np.array([[0.2, 0.3], [0.8, 0.6], [0.5, 0.9]])
+    model = RbfSurrogate.fit(pts, np.array([[1.0, 3.0], [2.0, 0.5], [0.0, 1.0]]))
+    ev = SubproblemEvaluator(moop, weighted(0.5, 0.5), [model], lam=1.0)
+    calls = count_calls(monkeypatch, embedding, "extract")
+    z = np.array([0.4, 0.5])
+    ev.value(z)
+    ev.value_and_grad(z)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("reader", ["variable_objective", "undeclared_custom"])
+def test_design_reading_terms_receive_the_extracted_design(reader):
+    variables = [DesignVariable("x1", "continuous", 0.0, 2.0),
+                 DesignVariable("k", "integer", 0, 4),
+                 DesignVariable("c", "categorical", levels=("a", "b", "c"))]
+    seen = []
+
+    def recording(func):
+        def record(x, s):
+            seen.append(dict(x))
+            return func(x, s)
+        return record
+
+    if reader == "variable_objective":
+        term = variable_objective("time", "x1")
+        term = dataclasses.replace(term, func=recording(term.func))
+    else:
+        term = ObjectiveSpec("custom", recording(lambda x, s: x["x1"]))
+    moop = validate(MoopDefinition(
+        variables=variables,
+        simulations=[SimulationSpec("sim", 1, lambda d: np.zeros(1))],
+        objectives=[identity_objective("f1", 0), term],
+        acquisitions=[AcquisitionSpec("random_weight")],
+    ))
+    model = RbfSurrogate.fit(np.array([[0.1, 0.2, 0.0, 1.0], [0.7, 0.9, 1.0, 0.0]]),
+                             np.array([[1.0], [2.0]]))
+    ev = SubproblemEvaluator(moop, weighted(0.5, 0.5), [model], lam=1.0)
+    z = np.array([0.3, 0.6, 0.2, 0.7])
+    want = embedding.extract(moop.plan, z)
+    ev.value(z)
+    ev.value_and_grad(z)
+    assert seen[0] == want and seen[1] == want
+
+
+def test_uncertainty_bonus_gradient_computes_each_uncertainty_once(monkeypatch):
+    moop = make_moop(
+        n_vars=2,
+        sim_dim=2,
+        objectives=[identity_objective("f1", 0), identity_objective("f2", 1)],
+    )
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0.0, 1.0, (8, 2))
+    models = [RbfSurrogate.fit(pts, np.sin(3 * pts[:, :1])),
+              RbfSurrogate.fit(pts, (pts[:, 1:] - 0.5) ** 2)]
+    w = np.array([0.3, 0.7])
+    kappa = 5.0
+    state = ScalarizationState("fixed_weight", weights=w, kappa=kappa)
+    ev = SubproblemEvaluator(moop, state, models, lam=1.0, config=OptimizerConfig(kappa=kappa))
+    z = np.array([0.35, 0.6])
+
+    # The value and gradient the terms define, in the evaluator's order.
+    f = np.concatenate([m.evaluate(z) for m in models])
+    u = np.concatenate([m.uncertainty(z) for m in models])
+    sigma = np.full(2, float(u.max()))
+    value = float(w @ f) - kappa * float(w @ sigma)
+    row = np.vstack([m.uncertainty_gradient(z) for m in models])[int(np.argmax(u))]
+    grad = w @ np.vstack([m.gradient(z) for m in models])
+    grad -= kappa * (w @ np.tile(row, (2, 1)))
+
+    calls = count_calls(monkeypatch, RbfSurrogate, "uncertainty")
+    got_value, got_grad = ev.value_and_grad(z)
+    assert calls[0] == len(models)
+    assert got_value == value
+    np.testing.assert_array_equal(got_grad, grad)
+
+
+def test_uncertainty_bonus_without_simulations_is_zero():
+    moop = make_moop(n_vars=2, objectives=[quadratic_objective([0.7, 0.2])])
+    state = ScalarizationState("fixed_weight", weights=np.array([1.0]), kappa=2.0)
+    ev = SubproblemEvaluator(moop, state, [], lam=1.0, config=OptimizerConfig(kappa=2.0))
+    z = np.array([0.3, 0.6])
+    value, grad = ev.value_and_grad(z)
+    plain_value, plain_grad = penalized_value(moop, weighted(1.0), z, [], lam=1.0)
+    assert ev.value(z) == value == plain_value
+    np.testing.assert_array_equal(grad, plain_grad)
