@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import AcquisitionSpec, EvaluationDatabase, constraint_violation
+from .problem import AcquisitionSpec, EvaluationDatabase
 
 #: Slope of the epsilon-constraint violation penalty.
 RHO = 100.0
@@ -129,5 +129,5 @@ def select_start(state: ScalarizationState, database: EvaluationDatabase,
     if feas.any():
         idx = np.flatnonzero(feas)
         return int(idx[np.argmin(scores[idx])])
-    viol = np.array([constraint_violation(r.constraints) for r in database.records])
+    viol = np.maximum(database.constraint_matrix(), 0.0).sum(axis=1)
     return int(np.argmin(scores + penalty_lambda * viol))

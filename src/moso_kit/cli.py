@@ -37,9 +37,10 @@ A run is described by a JSON config document::
 evaluators come from the built-in testbed registry; ``delay`` wraps them
 in a uniform random sleep of ``[lower, upper]`` seconds, two finite
 numbers with ``0 <= lower <= upper``.  ``metrics.ref`` fixes the hypervolume
-reference point; without it the feasible nadir of the finished run is
-used.  Exit codes: 0 on success, 2 for config problems, 3 for runtime
-failures.
+reference point, one finite number per objective, and is checked before
+the run starts; without it the feasible nadir of the finished run is
+used, and the hypervolume is nan when no record is feasible.  Exit
+codes: 0 on success, 2 for config problems, 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import click
 import numpy as np
 
 from . import __version__, _blas, testbed
-from .metrics import hypervolume, nondominated_filter, pct_hv_improvement
+from .metrics import hypervolume, pct_hv_improvement
 from .orchestrator import MoopSolver
 from .problem import (
     AcquisitionSpec,
@@ -122,7 +123,8 @@ def _build_variables(entries):
     return out
 
 
-def _build_simulations(entries, variables, seed):
+def _build_simulations(entries, variables, seed, q0=None):
+    """Simulation specs; a top-level ``q0`` overrides every entry's own."""
     sims = []
     var_names = [v.name for v in variables]
     for i, entry in enumerate(entries):
@@ -144,16 +146,22 @@ def _build_simulations(entries, variables, seed):
                 evaluator, *_delay_range(delay, f"simulation {name!r}"),
                 np.random.default_rng(np.random.SeedSequence([seed, 1000 + i])))
         sims.append(SimulationSpec(name, output_dim, evaluator,
-                                   search=SearchConfig(q0=entry.get("q0", 100)),
+                                   search=SearchConfig(q0=entry.get("q0", 100) if q0 is None
+                                                       else q0),
                                    surrogate=SurrogateConfig(local=entry.get("local", True))))
     return sims
 
 
+def _finite_numbers(value, count) -> bool:
+    """Whether a config value is a list of ``count`` finite numbers."""
+    return (isinstance(value, list) and len(value) == count
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                    for v in value))
+
+
 def _delay_range(delay, where):
     """``delay`` as (lower, upper) seconds: two finite numbers, 0 <= lower <= upper."""
-    if (isinstance(delay, list) and len(delay) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in delay)
-            and 0.0 <= delay[0] <= delay[1] < math.inf):
+    if _finite_numbers(delay, 2) and 0.0 <= delay[0] <= delay[1]:
         return float(delay[0]), float(delay[1])
     raise ConfigError(f"{where}: delay must be [lower, upper] seconds "
                       f"with 0 <= lower <= upper, got {delay!r}")
@@ -221,12 +229,8 @@ def load_config(path, seed_override=None):
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     try:
         variables = _build_variables(_require(cfg, "variables", "config"))
-        q0 = cfg.get("search", {}).get("q0")
-        sims = _build_simulations(_require(cfg, "simulations", "config"), variables, seed)
-        if q0 is not None:
-            sims = [SimulationSpec(s.name, s.output_dim, s.evaluator,
-                                   search=SearchConfig(q0=q0), surrogate=s.surrogate)
-                    for s in sims]
+        sims = _build_simulations(_require(cfg, "simulations", "config"), variables, seed,
+                                  q0=cfg.get("search", {}).get("q0"))
         pen = cfg.get("penalty", {})
         defn = MoopDefinition(
             variables=variables,
@@ -240,21 +244,18 @@ def load_config(path, seed_override=None):
             rng_seed=seed,
         )
         moop = validate(defn)
+        ref = cfg.get("metrics", {}).get("ref")
+        if ref is not None and not _finite_numbers(ref, moop.o):
+            raise ConfigError(f"metrics.ref must be {moop.o} finite numbers, got {ref!r}")
     except (ValidationError, ConfigError):
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"malformed config: {err}") from err
     return moop, cfg
 
 
 # ---------------------------------------------------------------------------
 # Output files
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
 
 def write_database_csv(path, moop, records) -> None:
     header = (["iteration"]
@@ -267,12 +268,10 @@ def write_database_csv(path, moop, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in records:
-            row = [rec.iteration]
-            row += [_fmt(rec.design[v.name]) for v in moop.variables]
+            row = [rec.iteration] + [rec.design[v.name] for v in moop.variables]
             for out in rec.sim_outputs:
-                row += [_fmt(v) for v in out]
-            row += [_fmt(v) for v in rec.objectives]
-            row += [_fmt(v) for v in rec.constraints]
+                row += out.tolist()
+            row += rec.objectives.tolist() + rec.constraints.tolist()
             row.append(int(rec.feasible))
             writer.writerow(row)
 
@@ -283,18 +282,20 @@ def write_pareto_csv(path, moop, archive) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for design, objs in zip(archive.designs, archive.objectives):
-            writer.writerow([_fmt(design[v.name]) for v in moop.variables]
-                            + [_fmt(v) for v in objs])
+        for design, objs in zip(archive.designs, archive.objectives.tolist()):
+            writer.writerow([design[v.name] for v in moop.variables] + objs)
 
 
 def hv_trajectory(objectives, feasible, iterations, ref):
-    """Per-iteration hypervolume of the feasible nondominated prefix."""
+    """Per-iteration hypervolume of the feasible nondominated prefix (nan without ``ref``)."""
     rows = []
     for k in sorted(set(iterations)):
         prefix = [i for i, it in enumerate(iterations) if it <= k]
         mask = [i for i in prefix if feasible[i]]
-        hv = hypervolume(objectives[mask], ref) if mask else 0.0
+        if ref is None:
+            hv = math.nan
+        else:
+            hv = float(hypervolume(objectives[mask], ref)) if mask else 0.0
         rows.append((k, len(prefix), hv))
     return rows
 
@@ -303,36 +304,32 @@ def _reference_point(cfg, objectives, feasible):
     ref_cfg = cfg.get("metrics", {}).get("ref")
     if ref_cfg is not None:
         return np.asarray(ref_cfg, dtype=float)
-    feas = objectives[np.asarray(feasible, dtype=bool)]
+    feas = objectives[feasible]
     if len(feas) == 0:
         return None
     return feas.max(axis=0)
 
 
-def write_metrics_csv(path, moop, records, ref) -> None:
-    objectives = np.vstack([r.objectives for r in records]) if records else np.empty((0, 0))
-    feasible = [r.feasible for r in records]
-    iterations = [r.iteration for r in records]
+def write_metrics_csv(path, moop, database, ref) -> None:
+    """Hypervolume and best feasible fixed-weight score after each iteration."""
+    objectives, feasible = database.objective_matrix(), database.feasible_mask()
+    iterations = [r.iteration for r in database.records]
+    order = np.argsort(iterations, kind="stable")
     fixed = [(i, np.asarray(a.weights, dtype=float))
              for i, a in enumerate(moop.acquisitions) if a.kind == "fixed_weight"]
+    # Running minima in iteration order, one row per weight: the trajectory
+    # row that covers ``evals`` evaluations reads column ``evals - 1``.
+    best = np.minimum.accumulate(np.array(
+        [[float(w @ objectives[i]) if feasible[i] else np.inf for i in order] for _, w in fixed]
+    ).reshape(len(fixed), len(order)), axis=1)
+    best[best == np.inf] = np.nan
     header = ["iteration", "evaluations", "hypervolume"]
     header += [f"best_fixed_{i}" for i, _ in fixed]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if not records:
-            return
-        traj = (hv_trajectory(objectives, feasible, iterations, ref)
-                if ref is not None else
-                [(k, sum(1 for it in iterations if it <= k), float("nan"))
-                 for k in sorted(set(iterations))])
-        for k, evals, hv in traj:
-            row = [k, evals, _fmt(hv)]
-            for _, w in fixed:
-                scores = [float(w @ r.objectives) for r in records
-                          if r.iteration <= k and r.feasible]
-                row.append(_fmt(min(scores)) if scores else _fmt(float("nan")))
-            writer.writerow(row)
+        for k, evals, hv in hv_trajectory(objectives, feasible, iterations, ref):
+            writer.writerow([k, evals, hv] + best[:, evals - 1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +376,18 @@ def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        records = result.database.records
-        objectives = (np.vstack([r.objectives for r in records])
-                      if records else np.empty((0, moop.o)))
-        ref = _reference_point(cfg, objectives, [r.feasible for r in records])
-        write_database_csv(out / "database.csv", moop, records)
+        db = result.database
+        ref = _reference_point(cfg, db.objective_matrix(), db.feasible_mask())
+        write_database_csv(out / "database.csv", moop, db.records)
         write_pareto_csv(out / "pareto.csv", moop, result.archive)
-        write_metrics_csv(out / "metrics.csv", moop, records, ref)
+        write_metrics_csv(out / "metrics.csv", moop, db, ref)
         meta = {
             "blas_threads": _blas.thread_count(),
             "budget": budget,
             "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
             "evaluations": result.evaluations,
             "iterations": result.iterations,
-            "reference_point": None if ref is None else [float(v) for v in ref],
+            "reference_point": None if ref is None else ref.tolist(),
             "seed": moop.rng_seed,
             "version": __version__,
             "walltime_s": time.perf_counter() - started,
@@ -428,10 +423,7 @@ def metrics(db_path, ref_text, mode, hv_max) -> None:
             ref = feas.max(axis=0)
         if mode == "relative_to_gap" and hv_max is None:
             raise ConfigError("relative_to_gap needs --hv-max")
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
-    except Exception as err:  # noqa: BLE001
+    except Exception as err:  # noqa: BLE001 - every failure here is a config error
         click.echo(f"config error: {err}", err=True)
         sys.exit(2)
 
@@ -445,9 +437,9 @@ def metrics(db_path, ref_text, mode, hv_max) -> None:
         writer.writerow(header)
         hv0 = traj[0][2] if traj else 0.0
         for k, evals, hv in traj:
-            row = [k, evals, _fmt(hv)]
+            row = [k, evals, hv]
             if mode != "raw":
-                row.append(_fmt(pct_hv_improvement(hv, hv0, mode=mode, hv_max=hv_max)))
+                row.append(float(pct_hv_improvement(hv, hv0, mode=mode, hv_max=hv_max)))
             writer.writerow(row)
         click.echo(out.getvalue(), nl=False)
     except Exception as err:  # noqa: BLE001

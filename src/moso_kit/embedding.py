@@ -77,11 +77,6 @@ def build_plan(variables) -> EmbeddingPlan:
     )
 
 
-def latent_box(plan: EmbeddingPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the latent cube."""
-    return np.zeros(plan.latent_dim), np.ones(plan.latent_dim)
-
-
 def _combo_index(plan: EmbeddingPlan, x: Mapping) -> int:
     """Row-major combination index over categorical variables in order."""
     j = 0

@@ -200,13 +200,6 @@ class SubproblemEvaluator:
                 dviol[i] += (self.moop.constraints[j].func(x2, s2) - gvals[j]) / step
 
 
-def penalized_value(moop: Moop, state: ScalarizationState, z, surrogates,
-                    lam: float, config: OptimizerConfig = OptimizerConfig()):
-    """Value and gradient of the penalized scalarized subproblem at ``z``."""
-    ev = SubproblemEvaluator(moop, state, surrogates, lam, config)
-    return ev.value_and_grad(np.asarray(z, dtype=float))
-
-
 def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: TrustRegion,
           lam: float, config: OptimizerConfig = OptimizerConfig()) -> SolveOutcome:
     """Projected BFGS over the trust-region box.

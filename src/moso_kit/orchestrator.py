@@ -412,22 +412,22 @@ class MoopSolver:
         return solver
 
     def _restore_record(self, rec, n, path) -> None:
+        x = rec["design"]
         s = [np.asarray(o, dtype=float) for o in rec["outputs"]]
-        added = self.database.add(rec["design"], s,
-                                  np.asarray(rec["objectives"], dtype=float),
-                                  np.asarray(rec["constraints"], dtype=float),
-                                  rec["iteration"])
+        f = np.asarray(rec["objectives"], dtype=float)
+        g = np.asarray(rec["constraints"], dtype=float)
         # The fingerprint covers names only; recomputing the terms
         # catches edited caps, scales, coefficients and forms.
-        x, flat = added.design, added.concat_outputs()
+        flat = np.concatenate(s) if s else np.empty(0)
         try:
-            same = (np.array_equal(eval_objectives(self.moop, x, flat), added.objectives)
-                    and np.array_equal(eval_constraints(self.moop, x, flat), added.constraints))
+            same = (np.array_equal(eval_objectives(self.moop, x, flat), f)
+                    and np.array_equal(eval_constraints(self.moop, x, flat), g))
         except EvaluationError:
             same = False
         if not same:
             raise CheckpointError(f"record {n} of {path} does not match the problem's "
                                   "objectives or constraints")
+        self.database.add(x, s, f, g, rec["iteration"])
 
 
 def journal_path(path) -> str:

@@ -328,13 +328,6 @@ def eval_constraints(moop: Moop, x: DesignPoint, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def constraint_violation(g: np.ndarray) -> float:
-    """Total positive part of a constraint vector."""
-    if g.size == 0:
-        return 0.0
-    return float(np.maximum(g, 0.0).sum())
-
-
 @dataclass
 class EvalRecord:
     """One completed evaluation: design, per-sim outputs, objective data."""
@@ -347,11 +340,6 @@ class EvalRecord:
     iteration: int
     feasible: bool
 
-    def concat_outputs(self) -> np.ndarray:
-        if not self.sim_outputs:
-            return np.empty(0)
-        return np.concatenate(self.sim_outputs)
-
 
 def latent_key(z: np.ndarray) -> bytes:
     """Uniqueness key for latent coordinates (quantized at 1e-12)."""
@@ -361,13 +349,19 @@ def latent_key(z: np.ndarray) -> bytes:
 class EvaluationDatabase:
     """Append-only store of evaluations with a latent-coordinate unique index.
 
-    Mutations must happen on the control thread; reads are safe anywhere.
+    Each field (latent point, objectives, constraints, each simulation's
+    outputs) is one array with a row per record that doubles when full;
+    the first record fixes the widths.  Record fields and ``*_matrix``
+    results are read-only views of those rows, so each value is stored
+    once.  Mutations must happen on the control thread; reads are safe
+    anywhere.
     """
 
     def __init__(self, plan: embedding.EmbeddingPlan):
         self.plan = plan
         self.records: list[EvalRecord] = []
         self._index: dict[bytes, int] = {}
+        self._fields: list[np.ndarray] = []  # latent, objectives, constraints, *outputs
 
     def __len__(self) -> int:
         return len(self.records)
@@ -380,37 +374,61 @@ class EvaluationDatabase:
         key = latent_key(z)
         if key in self._index:
             raise DuplicatePointError(f"latent coordinates already stored (record {self._index[key]})")
-        g = np.asarray(constraints, dtype=float)
+        rows = [np.asarray(r, dtype=float) for r in (z, objectives, constraints, *sim_outputs)]
+        shapes = [f.shape[1:] for f in self._fields] or [(r.size,) for r in rows]
+        if [r.shape for r in rows] != shapes:
+            raise ValueError(f"row shapes {[r.shape for r in rows]} differ from {shapes}")
+        n = len(self.records)
+        if not self._fields or n == len(self._fields[0]):
+            capacity = max(64, 2 * n)
+            old, self._fields = self._fields, [np.empty((capacity, *sh)) for sh in shapes]
+            for f, o in zip(self._fields, old):
+                f[:n] = o
+            for i, rec in enumerate(self.records):
+                vars(rec).update(self._row_views(i))
+        for f, r in zip(self._fields, rows):
+            f[n] = r
         rec = EvalRecord(
             # numpy scalars (e.g. from a custom from_latent) become Python
             # values so records serialize to JSON checkpoints.
             design={k: v.item() if isinstance(v, np.generic) else v for k, v in design.items()},
-            latent=z,
-            sim_outputs=tuple(np.asarray(s, dtype=float) for s in sim_outputs),
-            objectives=np.asarray(objectives, dtype=float),
-            constraints=g,
             iteration=iteration,
-            feasible=bool(g.size == 0 or g.max() <= FEASIBILITY_TOL),
+            feasible=bool((rows[2] <= FEASIBILITY_TOL).all()),
+            **self._row_views(n),
         )
-        self._index[key] = len(self.records)
+        self._index[key] = n
         self.records.append(rec)
         return rec
 
-    def latent_matrix(self) -> np.ndarray:
-        if not self.records:
-            return np.empty((0, self.plan.latent_dim))
-        return np.vstack([r.latent for r in self.records])
+    def _row_views(self, i: int) -> dict:
+        latent, objectives, constraints, *outputs = (_readonly(f[i]) for f in self._fields)
+        return dict(latent=latent, objectives=objectives, constraints=constraints,
+                    sim_outputs=tuple(outputs))
 
-    def outputs_matrix(self, sim_index: int) -> np.ndarray:
-        return np.vstack([r.sim_outputs[sim_index] for r in self.records])
+    def _rows(self, field: int, empty_width: int = 0) -> np.ndarray:
+        if not self._fields:
+            return np.empty((0, empty_width))
+        return _readonly(self._fields[field][:len(self.records)])
+
+    def latent_matrix(self) -> np.ndarray:
+        return self._rows(0, self.plan.latent_dim)
 
     def objective_matrix(self) -> np.ndarray:
-        if not self.records:
-            return np.empty((0, 0))
-        return np.vstack([r.objectives for r in self.records])
+        return self._rows(1)
+
+    def constraint_matrix(self) -> np.ndarray:
+        return self._rows(2)
+
+    def outputs_matrix(self, sim_index: int) -> np.ndarray:
+        return self._rows(3 + sim_index)
 
     def feasible_mask(self) -> np.ndarray:
-        return np.array([r.feasible for r in self.records], dtype=bool)
+        return (self.constraint_matrix() <= FEASIBILITY_TOL).all(axis=1)
+
+
+def _readonly(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 # ---------------------------------------------------------------------------

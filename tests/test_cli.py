@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from moso_kit import _blas
-from moso_kit.cli import main
+from moso_kit.cli import hv_trajectory, load_config, main, write_metrics_csv
+from moso_kit.problem import EvaluationDatabase
 
 
 def small_config(with_fixed=True, budget=24):
@@ -145,6 +146,13 @@ def test_config_errors_exit_2(tmp_path):
     path = write_config(tmp_path, small_config(), "workers.json")
     assert run_cli(["run", "--config", str(path), "--workers", "0"]).exit_code == 2
 
+    # A section that is not an object, e.g. "metrics": [2, 2].
+    for key, value in (("metrics", [2.0, 2.0]), ("search", 12), ("penalty", 1.0)):
+        cfg = small_config()
+        cfg[key] = value
+        path = write_config(tmp_path, cfg, f"{key}.json")
+        assert run_cli(["run", "--config", str(path)]).exit_code == 2
+
 
 @pytest.mark.parametrize("delay", [
     [0.0], [-1.0, 0.0], [0.2, 0.1], [0.0, "0.1"], [0.0, float("inf")],
@@ -157,6 +165,41 @@ def test_bad_simulation_delay_is_a_config_error(tmp_path, delay):
     result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output
+
+
+@pytest.mark.parametrize("ref", [[2.0], [2.0, 2.0, 2.0], ["a", 2.0], [True, 2.0],
+                                 [float("nan"), 2.0], [2.0, float("inf")], 2.0],
+                         ids=["short", "long", "string", "bool", "nan", "infinite", "scalar"])
+def test_bad_metrics_reference_is_a_config_error(tmp_path, ref):
+    cfg = small_config()
+    cfg["metrics"]["ref"] = ref
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "metrics.ref" in result.output
+    assert not out.exists()  # rejected before the solve
+
+
+def test_metrics_csv_without_a_reference_point(tmp_path):
+    moop, _ = load_config(write_config(tmp_path, small_config()))
+    db = EvaluationDatabase(moop.plan)
+    for k, (x, it) in enumerate([(0.1, 0), (0.2, 0), (0.3, 1), (0.4, 1), (0.5, 2)]):
+        design = {v.name: x for v in moop.variables}
+        f = np.array([x, 1.0 - x * k])
+        db.add(design, [f], f, np.empty(0), it)
+    traj = hv_trajectory(db.objective_matrix(), db.feasible_mask(),
+                         [r.iteration for r in db.records], None)
+    assert [(k, n) for k, n, _ in traj] == [(0, 2), (1, 4), (2, 5)]
+    assert all(np.isnan(hv) for _, _, hv in traj)
+
+    write_metrics_csv(tmp_path / "metrics.csv", moop, db, None)
+    rows = read_csv(tmp_path / "metrics.csv")
+    assert rows[0] == ["iteration", "evaluations", "hypervolume", "best_fixed_0"]
+    w = np.array([0.5, 0.5])
+    best = [min(float(w @ r.objectives) for r in db.records[:n]) for _, n, _ in traj]
+    assert best == sorted(best, reverse=True) and len(set(best)) == 3
+    assert rows[1:] == [[str(k), str(n), "nan", repr(b)] for (k, n, _), b in zip(traj, best)]
 
 
 def test_runtime_errors_exit_3(tmp_path):

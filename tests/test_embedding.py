@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moso_kit.embedding import build_plan, embed, extract, latent_box
+from moso_kit.embedding import build_plan, embed, extract
 from moso_kit.problem import CustomEmbedder, DesignVariable
 
 from helpers import check_round_trip_and_exclusivity
@@ -24,13 +24,6 @@ def test_joint_categorical_block_dimension():
     plan = build_plan(mixed_reactor_vars())
     assert plan.combo_count == 4
     assert plan.latent_dim == 3 + 3
-
-
-def test_latent_box_is_unit_cube():
-    plan = build_plan(mixed_reactor_vars())
-    lo, hi = latent_box(plan)
-    assert np.array_equal(lo, np.zeros(6))
-    assert np.array_equal(hi, np.ones(6))
 
 
 def test_combo_zero_is_all_zeros_vertex():

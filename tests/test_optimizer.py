@@ -10,7 +10,6 @@ from moso_kit.acquisition import ScalarizationState
 from moso_kit.optimizer import (
     OptimizerConfig,
     SubproblemEvaluator,
-    penalized_value,
     solve,
 )
 from moso_kit.problem import (
@@ -65,7 +64,7 @@ def test_value_at_one_point_surrogate_datum():
     moop = make_moop(sim_dim=1)
     z = np.array([0.5])
     model = RbfSurrogate.fit(z[None, :], np.array([[2.0]]))
-    value, grad = penalized_value(moop, weighted(1.0), z, [model], lam=1.0)
+    value, grad = SubproblemEvaluator(moop, weighted(1.0), [model], lam=1.0).value_and_grad(z)
     assert value == pytest.approx(2.0)
     assert np.allclose(grad, 0.0, atol=1e-12)
 
@@ -78,7 +77,7 @@ def test_value_adds_penalized_violation_to_every_objective():
     )
     z = np.array([0.5])
     model = RbfSurrogate.fit(z[None, :], np.array([[1.0, 2.0]]))
-    value, _ = penalized_value(moop, weighted(0.5, 0.5), z, [model], lam=2.0)
+    value, _ = SubproblemEvaluator(moop, weighted(0.5, 0.5), [model], lam=2.0).value_and_grad(z)
     # violation 1.0 - 0.5 = 0.5, objectives become (2, 3)
     assert value == pytest.approx(2.5)
 
@@ -177,7 +176,7 @@ def test_penalty_scales_infeasible_value():
     )
     z = np.array([0.5])
     model = RbfSurrogate.fit(z[None, :], np.array([[1.0]]))  # violation 2.0
-    values = [penalized_value(moop, weighted(1.0), z, [model], lam=lam)[0]
+    values = [SubproblemEvaluator(moop, weighted(1.0), [model], lam=lam).value(z)
               for lam in (1.0, 10.0, 100.0)]
     assert values[0] < values[1] < values[2]
     assert values[1] == pytest.approx(1.0 + 10.0 * 2.0)
@@ -201,9 +200,9 @@ def test_uncertainty_bonus_changes_value():
     z = np.array([0.5])
     plain = ScalarizationState("fixed_weight", weights=np.array([1.0]))
     bonus = ScalarizationState("fixed_weight", weights=np.array([1.0]), kappa=5.0)
-    v0, _ = penalized_value(moop, plain, z, [model], lam=1.0)
-    v1, _ = penalized_value(moop, bonus, z, [model], lam=1.0,
-                            config=OptimizerConfig(kappa=5.0))
+    v0, _ = SubproblemEvaluator(moop, plain, [model], lam=1.0).value_and_grad(z)
+    v1, _ = SubproblemEvaluator(moop, bonus, [model], lam=1.0,
+                                config=OptimizerConfig(kappa=5.0)).value_and_grad(z)
     assert v1 < v0
 
 
@@ -358,6 +357,6 @@ def test_uncertainty_bonus_without_simulations_is_zero():
     ev = SubproblemEvaluator(moop, state, [], lam=1.0, config=OptimizerConfig(kappa=2.0))
     z = np.array([0.3, 0.6])
     value, grad = ev.value_and_grad(z)
-    plain_value, plain_grad = penalized_value(moop, weighted(1.0), z, [], lam=1.0)
+    plain_value, plain_grad = SubproblemEvaluator(moop, weighted(1.0), [], lam=1.0).value_and_grad(z)
     assert ev.value(z) == value == plain_value
     np.testing.assert_array_equal(grad, plain_grad)

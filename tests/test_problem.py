@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moso_kit.embedding import build_plan
+from moso_kit.embedding import build_plan, embed
 from moso_kit.orchestrator import problem_fingerprint
 from moso_kit.problem import (
     AcquisitionSpec,
@@ -14,11 +14,11 @@ from moso_kit.problem import (
     MoopDefinition,
     SimulationSpec,
     ValidationError,
-    constraint_violation,
     eval_constraints,
     eval_objectives,
     identity_constraint,
     identity_objective,
+    latent_key,
     linear_objective,
     sum_of_squares_constraint,
     sum_of_squares_objective,
@@ -119,7 +119,6 @@ def test_eval_constraints_empty_is_feasible():
     moop = small_moop([identity_objective("f", 0)])
     g = eval_constraints(moop, {"x1": 0.1, "RT": 70.0}, np.zeros(3))
     assert g.shape == (0,)
-    assert constraint_violation(g) == 0.0
 
 
 def test_identity_constraint_feasible_example():
@@ -135,7 +134,6 @@ def test_sum_of_squares_cap_infeasible_example():
                       sim_dim=3)
     g = eval_constraints(moop, {"x1": 0.1, "RT": 70.0}, np.array([3.0, 4.0, 0.0]))
     assert g == pytest.approx([5.0])
-    assert constraint_violation(g) == pytest.approx(5.0)
 
 
 def test_eval_objectives_flags_non_finite_with_index():
@@ -198,7 +196,69 @@ def test_database_matrices_round_trip():
     assert db.latent_matrix().shape == (3, 2)
     assert np.array_equal(db.outputs_matrix(0)[:, 1], [2.0, -1.0, 4.0])
     assert np.array_equal(db.objective_matrix()[:, 0], [1.0, -0.5, 2.0])
+    assert np.array_equal(db.constraint_matrix()[:, 0], [0.0, -1.5, 1.0])
     assert np.array_equal(db.feasible_mask(), [True, True, False])
+    for p in (0, 2):
+        check_rows_after_growth(p)
+
+
+def check_rows_after_growth(p):
+    # Far past the first growth of the field arrays: every record's
+    # fields still equal the matrix rows, and nothing can be written.
+    db = make_database()
+    rng = np.random.default_rng(5)
+    added = []
+    for k in range(300):
+        design = {"x1": float(rng.uniform()), "RT": float(rng.uniform(60.0, 300.0))}
+        s = [rng.normal(size=3), rng.normal(size=1)]
+        f = rng.normal(size=2)
+        g = rng.normal(size=p)
+        rec = db.add(design, s, f, g, k // 16)
+        added.append((s, f, g))
+        assert rec is db.records[-1]
+    matrices = (db.latent_matrix(), db.outputs_matrix(0), db.outputs_matrix(1),
+                db.objective_matrix(), db.constraint_matrix())
+    assert [m.shape for m in matrices] == [(300, 2), (300, 3), (300, 1), (300, 2), (300, p)]
+    for i, (rec, (s, f, g)) in enumerate(zip(db.records, added)):
+        assert np.array_equal(rec.latent, matrices[0][i])
+        assert np.array_equal(rec.sim_outputs[0], matrices[1][i])
+        assert np.array_equal(rec.sim_outputs[1], matrices[2][i])
+        assert np.array_equal(rec.objectives, matrices[3][i])
+        assert np.array_equal(rec.constraints, matrices[4][i])
+        assert np.array_equal(rec.sim_outputs[0], s[0]) and np.array_equal(rec.objectives, f)
+        assert np.array_equal(rec.constraints, g)
+        assert rec.feasible == bool(g.size == 0 or g.max() <= 1e-8)
+    assert np.array_equal(db.feasible_mask(), [r.feasible for r in db.records])
+    for m in matrices:
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+    with pytest.raises(ValueError):
+        db.records[0].objectives[0] = 0.0
+
+
+@pytest.mark.parametrize("field", ["output", "objective", "constraint", "sim_count", "2d"])
+def test_database_rejects_a_row_of_the_wrong_width(field):
+    db = make_database()
+    row = {"output": [np.array([1.0, 2.0])], "objective": np.array([1.0]),
+           "constraint": np.array([0.0])}
+    db.add({"x1": 0.1, "RT": 100.0}, row["output"], row["objective"], row["constraint"], 0)
+    bad = dict(row)
+    if field == "output":
+        bad["output"] = [np.array([1.0])]
+    elif field == "objective":
+        bad["objective"] = np.array([1.0, 2.0])
+    elif field == "constraint":
+        bad["constraint"] = np.empty(0)
+    elif field == "sim_count":
+        bad["output"] = row["output"] * 2
+    else:
+        bad["objective"] = np.array([[1.0]])
+    with pytest.raises(ValueError):
+        db.add({"x1": 0.2, "RT": 100.0}, bad["output"], bad["objective"], bad["constraint"], 1)
+    assert len(db) == 1
+    assert not db.has_key(latent_key(embed(db.plan, {"x1": 0.2, "RT": 100.0})))
+    db.add({"x1": 0.2, "RT": 100.0}, row["output"], row["objective"], row["constraint"], 1)
+    assert db.objective_matrix().shape == (2, 1)
 
 
 def test_stored_objectives_recompute_bitwise():
