@@ -58,7 +58,7 @@ import click
 import numpy as np
 
 from . import __version__, _blas, testbed
-from .metrics import hypervolume, pct_hv_improvement
+from .metrics import hypervolume, insertion_mask, pct_hv_improvement
 from .orchestrator import MoopSolver
 from .problem import (
     AcquisitionSpec,
@@ -135,7 +135,7 @@ def _build_simulations(entries, variables, seed, q0=None):
         options = entry.get("options", {})
         if key == "dtlz2":
             o = options.get("n_objectives", 3)
-            evaluator = _dtlz2_evaluator(var_names, o)
+            evaluator = testbed.dtlz2_evaluator(var_names, o)
             output_dim = o
         else:
             evaluator = TESTBED_REGISTRY[key]
@@ -165,12 +165,6 @@ def _delay_range(delay, where):
         return float(delay[0]), float(delay[1])
     raise ConfigError(f"{where}: delay must be [lower, upper] seconds "
                       f"with 0 <= lower <= upper, got {delay!r}")
-
-
-def _dtlz2_evaluator(var_names, n_objectives):
-    def evaluator(design):
-        return testbed.dtlz2(np.array([design[k] for k in var_names]), n_objectives)
-    return evaluator
 
 
 def _build_terms(entries, constraint: bool):
@@ -287,16 +281,20 @@ def write_pareto_csv(path, moop, archive) -> None:
 
 
 def hv_trajectory(objectives, feasible, iterations, ref):
-    """Per-iteration hypervolume of the feasible nondominated prefix (nan without ``ref``)."""
-    rows = []
-    for k in sorted(set(iterations)):
-        prefix = [i for i, it in enumerate(iterations) if it <= k]
-        mask = [i for i in prefix if feasible[i]]
-        if ref is None:
-            hv = math.nan
-        else:
-            hv = float(hypervolume(objectives[mask], ref)) if mask else 0.0
-        rows.append((k, len(prefix), hv))
+    """Per-iteration hypervolume of the feasible nondominated prefix (nan without ``ref``).
+
+    Records enter one kept front in stable iteration order.
+    """
+    iterations = np.asarray(iterations)
+    order = np.argsort(iterations, kind="stable")
+    front, rows = objectives[:0], []
+    for n, i in enumerate(order, start=1):
+        keep = insertion_mask(front, objectives[i]) if feasible[i] else None
+        if keep is not None:
+            front = np.vstack([front[keep], objectives[i]])
+        if n == len(order) or iterations[order[n]] != iterations[i]:
+            hv = math.nan if ref is None else float(hypervolume(front, ref))
+            rows.append((int(iterations[i]), n, hv))
     return rows
 
 
@@ -413,9 +411,9 @@ def metrics(db_path, ref_text, mode, hv_max) -> None:
     try:
         objectives, feasible, iterations = _read_database(db_path)
         if ref_text is not None:
-            ref = np.array([float(v) for v in ref_text.split(",")])
-            if ref.size != objectives.shape[1]:
-                raise ConfigError(f"--ref has {ref.size} entries, expected {objectives.shape[1]}")
+            ref = [float(v) for v in ref_text.split(",")]
+            if not _finite_numbers(ref, objectives.shape[1]):
+                raise ConfigError(f"--ref must be {objectives.shape[1]} finite numbers")
         else:
             feas = objectives[np.asarray(feasible, dtype=bool)]
             if len(feas) == 0:

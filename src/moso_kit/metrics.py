@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,36 +12,33 @@ logger = logging.getLogger(__name__)
 MC_SAMPLES = 1_000_000
 
 
+def insertion_mask(front: np.ndarray, p: np.ndarray):
+    """Weak-dominance insertion of ``p`` into the mutually nondominated ``front``.
+
+    None when some row is ``<= p`` everywhere: ``p`` is dominated or
+    repeats a row (``-0.0`` equals ``0.0``).  Otherwise the mask of rows
+    that ``p`` does not dominate, the rows to keep before appending ``p``.
+    """
+    if (front <= p).all(axis=1).any():
+        return None
+    return ~(p <= front).all(axis=1)
+
+
 def nondominated_filter(points) -> np.ndarray:
     """Indices (ascending) of the nondominated points.
 
-    Exact duplicate objective vectors keep only their first occurrence.
-    Implemented as a lexicographic sweep with an incremental archive: a
-    point later in lexicographic order can never dominate an earlier one,
-    so each point is tested against the points kept so far, as one block.
+    Points enter one front in index order through ``insertion_mask``: of
+    equal vectors (``-0.0`` equals ``0.0``) only the first is kept.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d array of objective vectors")
-    n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=int)
-    order = np.lexsort(pts.T[::-1])  # primary key = first objective; stable
-    kept: list[int] = []
-    seen: set[bytes] = set()
-    archive = np.empty_like(pts)
-    for i in order:
-        p = pts[i]
-        key = p.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        a = archive[:len(kept)]
-        if ((a <= p).all(axis=1) & (a < p).any(axis=1)).any():
-            continue
-        archive[len(kept)] = p
-        kept.append(i)
-    return np.array(sorted(kept), dtype=int)
+    front, kept = pts[:0], np.empty(0, dtype=int)
+    for i, p in enumerate(pts):
+        keep = insertion_mask(front, p)
+        if keep is not None:
+            front, kept = np.vstack([front[keep], p]), np.append(kept[keep], i)
+    return kept
 
 
 def _hv_2d(pts: np.ndarray, ref: np.ndarray) -> float:
@@ -57,15 +54,6 @@ def _hv_2d(pts: np.ndarray, ref: np.ndarray) -> float:
     return total
 
 
-def _insert_front(front: list[np.ndarray], p: np.ndarray) -> None:
-    """Keep ``front`` mutually nondominated after inserting ``p``."""
-    for a in front:
-        if (a <= p).all():
-            return
-    front[:] = [a for a in front if not (p <= a).all()]
-    front.append(p)
-
-
 def _hv_sweep(pts: np.ndarray, ref: np.ndarray) -> float:
     o = ref.size
     if len(pts) == 0:
@@ -76,16 +64,15 @@ def _hv_sweep(pts: np.ndarray, ref: np.ndarray) -> float:
         return _hv_2d(pts, ref)
     # Slice along the last objective: between consecutive values the
     # dominated cross-section is fixed, so recurse one dimension down.
-    order = np.argsort(pts[:, -1], kind="stable")
-    pts = pts[order]
-    total = 0.0
-    front: list[np.ndarray] = []
-    for i in range(len(pts)):
-        _insert_front(front, pts[i, :-1])
-        z_lo = pts[i, -1]
-        z_hi = pts[i + 1, -1] if i + 1 < len(pts) else ref[-1]
-        if z_hi > z_lo:
-            total += (z_hi - z_lo) * _hv_sweep(np.asarray(front), ref[:-1])
+    pts = pts[np.argsort(pts[:, -1], kind="stable")]
+    z = np.append(pts[:, -1], ref[-1])
+    total, front = 0.0, pts[:0, :-1]
+    for i, p in enumerate(pts[:, :-1]):
+        keep = insertion_mask(front, p)
+        if keep is not None:
+            front = np.vstack([front[keep], p])
+        if z[i + 1] > z[i]:
+            total += (z[i + 1] - z[i]) * _hv_sweep(front, ref[:-1])
     return total
 
 
@@ -156,19 +143,26 @@ def pct_hv_improvement(hv: float, hv_initial: float, mode: str = "relative_to_in
 
 @dataclass
 class ParetoArchive:
-    """Feasible nondominated designs with their objective vectors."""
+    """Feasible nondominated designs with their objective vectors, in record order."""
 
-    designs: list
-    objectives: np.ndarray
+    designs: list = field(default_factory=list)
+    objectives: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    seen: int = 0  # leading records that ``update`` has consumed
 
     def __len__(self) -> int:
         return len(self.designs)
 
+    def update(self, records) -> "ParetoArchive":
+        """Insert the feasible records after the first ``seen`` of ``records``."""
+        for rec in records[self.seen:]:
+            front = self.objectives.reshape(-1, rec.objectives.size)  # (0, 0) while empty
+            keep = insertion_mask(front, rec.objectives) if rec.feasible else None
+            if keep is not None:
+                self.objectives = np.vstack([front[keep], rec.objectives])
+                self.designs = [d for d, k in zip(self.designs, keep) if k] + [rec.design]
+        self.seen = len(records)
+        return self
+
     @classmethod
     def from_records(cls, records) -> "ParetoArchive":
-        feasible = [r for r in records if r.feasible]
-        if not feasible:
-            return cls([], np.empty((0, 0)))
-        objs = np.vstack([r.objectives for r in feasible])
-        keep = nondominated_filter(objs)
-        return cls([feasible[i].design for i in keep], objs[keep])
+        return cls().update(records)

@@ -118,6 +118,7 @@ class MoopSolver:
         self.checkpoint_path = checkpoint_path
         self.opt_config = optimizer_config or optimizer.OptimizerConfig()
         self.database = EvaluationDatabase(self.moop.plan)
+        self.archive = ParetoArchive()  # of the database, as of the last ``iterate``
         self.penalty = PenaltyState(self.moop.penalty.initial,
                                     self.moop.penalty.growth,
                                     self.moop.penalty.cap)
@@ -152,7 +153,7 @@ class MoopSolver:
         latents = self.database.latent_matrix()
         models = [RbfSurrogate.fit(latents, self.database.outputs_matrix(i))
                   for i in range(len(self.moop.simulations))]
-        archive = ParetoArchive.from_records(self.database.records)
+        archive = self.archive.update(self.database.records)
 
         batch = CandidateBatch(iteration=k)
         batch_keys: set[bytes] = set()
@@ -385,6 +386,8 @@ class MoopSolver:
                 raise CheckpointError(f"penalty must be a finite number, not {penalty!r}")
             solver.penalty.value = float(penalty)
             solver._search_rng.bit_generator.state = state["rng"]["search"]
+            if len(state["rng"]["acquisitions"]) != len(solver._acq_rngs):
+                raise CheckpointError("checkpoint has the wrong number of acquisition RNG states")
             for rng, st in zip(solver._acq_rngs, state["rng"]["acquisitions"]):
                 rng.bit_generator.state = st
             threads = _blas.thread_count()

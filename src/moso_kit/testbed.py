@@ -70,6 +70,11 @@ def delay_wrapper(fn, t_min: float, t_max: float, rng: np.random.Generator):
     return wrapped
 
 
+def dtlz2_evaluator(names, o: int):
+    """Simulation evaluator: dtlz2 of the design values named by ``names``, in order."""
+    return lambda design: dtlz2(np.array([design[k] for k in names]), o)
+
+
 def _standard_acquisitions(batch: int, n_objectives: int) -> list:
     """One uniform fixed weighting plus epsilon-constraint explorers."""
     uniform = tuple(1.0 / n_objectives for _ in range(n_objectives))
@@ -79,14 +84,12 @@ def _standard_acquisitions(batch: int, n_objectives: int) -> list:
 
 
 def dtlz2_moop(n: int = 10, o: int = 3, q0: int = 200, batch: int = 16,
-               seed: int = 0, delay=None, delay_rng=None,
-               local: bool = False) -> MoopDefinition:
+               seed: int = 0, delay=None, local: bool = False) -> MoopDefinition:
     """Problem wiring for dtlz2; ``delay=(t_min, t_max)`` adds fake cost."""
     names = [f"x{i + 1}" for i in range(n)]
-    evaluator = lambda d: dtlz2(np.array([d[k] for k in names]), o)  # noqa: E731
+    evaluator = dtlz2_evaluator(names, o)
     if delay is not None:
-        evaluator = delay_wrapper(evaluator, delay[0], delay[1],
-                                  delay_rng or np.random.default_rng(seed))
+        evaluator = delay_wrapper(evaluator, delay[0], delay[1], np.random.default_rng(seed))
     return MoopDefinition(
         variables=[DesignVariable(k, "continuous", 0.0, 1.0) for k in names],
         simulations=[SimulationSpec("dtlz2", o, evaluator,

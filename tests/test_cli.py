@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from moso_kit import _blas
 from moso_kit.cli import hv_trajectory, load_config, main, write_metrics_csv
+from moso_kit.metrics import hypervolume
 from moso_kit.problem import EvaluationDatabase
 
 
@@ -181,6 +182,32 @@ def test_bad_metrics_reference_is_a_config_error(tmp_path, ref):
     assert not out.exists()  # rejected before the solve
 
 
+def per_prefix_hv_trajectory(objectives, feasible, iterations, ref):
+    """Reference: filter and measure every iteration's prefix from scratch."""
+    rows = []
+    for k in sorted(set(iterations)):
+        prefix = [i for i, it in enumerate(iterations) if it <= k]
+        mask = [i for i in prefix if feasible[i]]
+        rows.append((k, len(prefix), float(hypervolume(objectives[mask], ref)) if mask else 0.0))
+    return rows
+
+
+def test_hv_trajectory_matches_per_prefix_reference_bitwise():
+    rng = np.random.default_rng(17)
+    ref = np.ones(3)
+    for trial in range(30):
+        n = int(rng.integers(1, 90))
+        objectives = rng.uniform(0.0, 1.3, size=(n, 3))  # some beyond ref
+        grid = rng.random(n) < 0.3
+        objectives[grid] = rng.integers(0, 4, size=(int(grid.sum()), 3)) / 3.0  # ties
+        repeats = rng.integers(0, n, n // 6)
+        objectives[rng.integers(0, n, n // 6)] = objectives[repeats]
+        feasible = rng.random(n) < 0.8
+        iterations = rng.integers(0, 6, n).tolist()  # unsorted
+        got = hv_trajectory(objectives, feasible, iterations, ref)
+        assert got == per_prefix_hv_trajectory(objectives, feasible, iterations, ref), trial
+
+
 def test_metrics_csv_without_a_reference_point(tmp_path):
     moop, _ = load_config(write_config(tmp_path, small_config()))
     db = EvaluationDatabase(moop.plan)
@@ -241,9 +268,12 @@ def test_metrics_with_no_feasible_rows(tmp_path):
     assert run_cli(["metrics", "--db", str(db)]).exit_code == 2
 
 
-def test_metrics_ref_arity_checked(tmp_path):
+@pytest.mark.parametrize("ref", ["1,1", "nan,1,1", "inf,1,1"])
+def test_metrics_ref_arity_checked(tmp_path, ref):
     db = write_database(tmp_path, [[0, 0.5, 0.5, 0.5, 1]])
-    assert run_cli(["metrics", "--db", str(db), "--ref", "1,1"]).exit_code == 2
+    result = run_cli(["metrics", "--db", str(db), "--ref", ref])
+    assert result.exit_code == 2
+    assert "--ref" in result.output
 
 
 def test_metrics_missing_database_exits_2(tmp_path):

@@ -34,6 +34,8 @@ def test_filter_single_point():
 def test_filter_keeps_first_duplicate_only():
     pts = np.array([[1.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
     assert nondominated_filter(pts).tolist() == [0, 1]
+    # -0.0 <= 0.0 and 0.0 <= -0.0, so the second vector repeats the first.
+    assert nondominated_filter(np.array([[0.0, 1.0], [-0.0, 1.0]])).tolist() == [0]
 
 
 def test_filter_matches_brute_force_randomized():
@@ -178,14 +180,42 @@ def test_pct_improvement_degenerate_baselines():
         pct_hv_improvement(0.3, 0.2, mode="relative_to_gap")
 
 
-def test_archive_from_records_filters_infeasible_and_dominated():
-    class Rec:
-        def __init__(self, f, feasible):
-            self.design = {"x": 0.0}
-            self.objectives = np.asarray(f, dtype=float)
-            self.feasible = feasible
+class Rec:
+    def __init__(self, f, feasible, design=None):
+        self.design = design or {"x": 0.0}
+        self.objectives = np.asarray(f, dtype=float)
+        self.feasible = feasible
 
+
+def test_archive_from_records_filters_infeasible_and_dominated():
     records = [Rec([1, 2], True), Rec([0, 0], False), Rec([2, 1], True), Rec([3, 3], True)]
     archive = ParetoArchive.from_records(records)
     assert len(archive) == 2
     assert archive.objectives.tolist() == [[1, 2], [2, 1]]
+
+
+def test_archive_update_in_chunks_matches_from_records_on_every_prefix():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        o = int(rng.integers(2, 4))
+        records = []
+        for i in range(int(rng.integers(1, 80))):
+            if records and rng.random() < 0.2:  # an exact repeat of an earlier vector
+                f = records[int(rng.integers(len(records)))].objectives
+            else:
+                f = rng.integers(0, 8, size=o).astype(float)
+            records.append(Rec(f, bool(rng.random() < 0.8), {"i": i}))
+        archive, n = ParetoArchive(), 0
+        while n < len(records):
+            n = min(len(records), n + int(rng.integers(1, 12)))
+            archive.update(records[:n])
+            want = ParetoArchive.from_records(records[:n])
+            assert archive.seen == want.seen == n
+            assert archive.designs == want.designs, f"trial {trial}, prefix {n}"
+            assert np.array_equal(archive.objectives, want.objectives)
+            feasible = [r for r in records[:n] if r.feasible]
+            if feasible:
+                keep = brute_force_nondominated(np.vstack([r.objectives for r in feasible]))
+                assert want.designs == [feasible[j].design for j in keep]
+            else:
+                assert len(want) == 0

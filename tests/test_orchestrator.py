@@ -359,6 +359,41 @@ def test_archive_empty_when_nothing_is_feasible():
     assert len(result.archive) == 0
 
 
+class ArchiveChecked(MoopSolver):
+    """Asserts after every proposal that the kept archive is a fresh rebuild's equal."""
+
+    checked = 0
+
+    def iterate(self, k):
+        batch = super().iterate(k)
+        if k > 0:
+            want = ParetoArchive.from_records(self.database.records)
+            assert self.archive.seen == want.seen == len(self.database)
+            assert self.archive.designs == want.designs
+            assert np.array_equal(self.archive.objectives, want.objectives)
+            self.checked += 1
+        return batch
+
+
+def test_kept_archive_matches_a_rebuild_after_every_iteration_and_resume(tmp_path):
+    # Infeasible records (x < 0.2) go in between feasible ones.
+    def moop():
+        return bowl_moop(q0=10, seed=8, constraints=[
+            sum_of_squares_constraint("not_too_low", [1], cap=0.36)])
+
+    path = tmp_path / "state.json"
+    solver = ArchiveChecked(moop())
+    straight = solver.solve(31)
+    assert solver.checked == 7
+    assert any(not r.feasible for r in straight.database.records)
+    first = ArchiveChecked(moop(), checkpoint_path=str(path))
+    first.solve(19)
+    resumed = ArchiveChecked.checkpoint_load(str(path), moop())
+    assert len(resumed.archive) == 0 and resumed.archive.seen == 0
+    assert_same_run(straight, resumed.solve(31))
+    assert (first.checked, resumed.checked) == (3, 4)
+
+
 def dtlz2_small():
     return testbed.dtlz2_moop(n=3, o=2, q0=10, batch=3, seed=7)
 
@@ -578,6 +613,19 @@ def test_checkpoint_rejects_corrupt_state_fields(tmp_path, field, value, message
     MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
     edit_state(path, **{field: value})
     with pytest.raises(CheckpointError, match=message):
+        MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+
+
+@pytest.mark.parametrize("streams", [1, 4])
+def test_checkpoint_rejects_a_wrong_number_of_acquisition_streams(tmp_path, streams):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+    rng = json.loads(path.read_text())["rng"]
+    saved = rng["acquisitions"]
+    assert len(saved) == 3
+    rng["acquisitions"] = (saved * 2)[:streams]  # the search state stays valid
+    edit_state(path, rng=rng)
+    with pytest.raises(CheckpointError, match="number of acquisition RNG states"):
         MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
 
 
