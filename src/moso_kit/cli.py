@@ -39,7 +39,10 @@ in a uniform random sleep of ``[lower, upper]`` seconds, two finite
 numbers with ``0 <= lower <= upper``.  ``metrics.ref`` fixes the hypervolume
 reference point, one finite number per objective, and is checked before
 the run starts; without it the feasible nadir of the finished run is
-used, and the hypervolume is nan when no record is feasible.  Exit
+used, and the hypervolume is nan when no record is feasible.  A
+constraint is an ``identity`` or ``sum_of_squares`` form minus ``cap``.
+Term references (output indices, ``coeffs``, ``variable``) are checked
+against the simulation outputs and numeric variables at load.  Exit
 codes: 0 on success, 2 for config problems, 3 for runtime failures.
 """
 
@@ -49,6 +52,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import sys
 import time
@@ -70,14 +74,16 @@ from .problem import (
     SimulationSpec,
     SurrogateConfig,
     ValidationError,
-    identity_constraint,
+    _capped,
     identity_objective,
     linear_objective,
-    sum_of_squares_constraint,
     sum_of_squares_objective,
     validate,
     variable_objective,
 )
+
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(MosoError):
@@ -167,33 +173,44 @@ def _delay_range(delay, where):
                       f"with 0 <= lower <= upper, got {delay!r}")
 
 
-def _build_terms(entries, constraint: bool):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _output_index(value, m, where):
+    if _is_int(value) and 0 <= value < m:
+        return value
+    raise ConfigError(f"{where}: output index must be an integer in [0, {m}), got {value!r}")
+
+
+def _build_terms(entries, constraint: bool, m: int, variables):
+    """Objective forms, capped for a constraint, over ``m`` sim outputs and ``variables``."""
+    kind = "constraint" if constraint else "objective"
+    numeric = {v.name for v in variables if v.kind in ("continuous", "integer")}
     out = []
     for i, entry in enumerate(entries):
         name = _require(entry, "name", f"term {i}")
         form = _require(entry, "form", name)
+        where = f"{kind} {name!r}"
         if form == "identity":
-            index = _require(entry, "index", name)
-            if constraint:
-                out.append(identity_constraint(name, index, _require(entry, "cap", name),
-                                               scale=entry.get("scale", 1.0)))
-            else:
-                out.append(identity_objective(name, index, scale=entry.get("scale", 1.0)))
+            spec = identity_objective(name, _output_index(_require(entry, "index", name), m, where),
+                                      scale=entry.get("scale", 1.0))
         elif form == "sum_of_squares":
-            indices = _require(entry, "indices", name)
-            if constraint:
-                out.append(sum_of_squares_constraint(name, indices, _require(entry, "cap", name)))
-            else:
-                out.append(sum_of_squares_objective(name, indices))
+            spec = sum_of_squares_objective(
+                name, [_output_index(j, m, where) for j in _require(entry, "indices", name)])
         elif form == "variable" and not constraint:
-            out.append(variable_objective(name, _require(entry, "variable", name),
-                                          scale=entry.get("scale", 1.0)))
+            variable = _require(entry, "variable", name)
+            if variable not in numeric:
+                raise ConfigError(f"{where}: no continuous or integer variable {variable!r}")
+            spec = variable_objective(name, variable, scale=entry.get("scale", 1.0))
         elif form == "linear" and not constraint:
-            out.append(linear_objective(name, _require(entry, "coeffs", name),
-                                        const=entry.get("const", 0.0)))
+            coeffs = _require(entry, "coeffs", name)
+            if not _finite_numbers(coeffs, m):
+                raise ConfigError(f"{where}: coeffs must be {m} finite numbers, got {coeffs!r}")
+            spec = linear_objective(name, coeffs, const=entry.get("const", 0.0))
         else:
-            kind = "constraint" if constraint else "objective"
-            raise ConfigError(f"{kind} {name!r}: unknown form {form!r}")
+            raise ConfigError(f"{where}: unknown form {form!r}")
+        out.append(_capped(spec, _require(entry, "cap", name)) if constraint else spec)
     return out
 
 
@@ -221,16 +238,19 @@ def load_config(path, seed_override=None):
         raise ConfigError("config root must be a JSON object")
 
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     try:
         variables = _build_variables(_require(cfg, "variables", "config"))
         sims = _build_simulations(_require(cfg, "simulations", "config"), variables, seed,
                                   q0=cfg.get("search", {}).get("q0"))
+        m = sum(s.output_dim for s in sims)
         pen = cfg.get("penalty", {})
         defn = MoopDefinition(
             variables=variables,
             simulations=sims,
-            objectives=_build_terms(_require(cfg, "objectives", "config"), constraint=False),
-            constraints=_build_terms(cfg.get("constraints", []), constraint=True),
+            objectives=_build_terms(_require(cfg, "objectives", "config"), False, m, variables),
+            constraints=_build_terms(cfg.get("constraints", []), True, m, variables),
             acquisitions=_build_acquisitions(_require(cfg, "acquisitions", "config")),
             penalty=PenaltyConfig(initial=pen.get("initial", 1.0),
                                   growth=pen.get("growth", 2.0),
@@ -283,13 +303,21 @@ def write_pareto_csv(path, moop, archive) -> None:
 def hv_trajectory(objectives, feasible, iterations, ref):
     """Per-iteration hypervolume of the feasible nondominated prefix (nan without ``ref``).
 
-    Records enter one kept front in stable iteration order.
+    Records enter one kept front in stable iteration order.  Records beyond
+    ``ref``, which cannot dominate one inside it, are dropped with one warning.
     """
     iterations = np.asarray(iterations)
     order = np.argsort(iterations, kind="stable")
+    enters = np.asarray(feasible, dtype=bool)
+    if ref is not None:
+        beyond = enters & ~(objectives <= ref).all(axis=1)
+        if beyond.any():
+            logger.warning("%d feasible point(s) beyond the reference point dropped",
+                           int(beyond.sum()))
+        enters = enters & ~beyond
     front, rows = objectives[:0], []
     for n, i in enumerate(order, start=1):
-        keep = insertion_mask(front, objectives[i]) if feasible[i] else None
+        keep = insertion_mask(front, objectives[i]) if enters[i] else None
         if keep is not None:
             front = np.vstack([front[keep], objectives[i]])
         if n == len(order) or iterations[order[n]] != iterations[i]:
@@ -356,8 +384,8 @@ def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
         moop, cfg = load_config(config_path, seed_override=seed)
         if budget is None:
             budget = cfg.get("budget")
-        if budget is None:
-            raise ConfigError("budget must be given via --budget or the config")
+        if not _is_int(budget):
+            raise ConfigError(f"budget must be an integer via --budget or the config, got {budget!r}")
         if workers < 1:
             raise ConfigError("workers must be >= 1")
     except (ConfigError, ValidationError) as err:

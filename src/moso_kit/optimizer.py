@@ -69,10 +69,10 @@ class SubproblemEvaluator:
             for vi, offset, width in self.plan.numeric_slots
             if self.plan.variables[vi].kind == "continuous"
         ]
+        self.terms = moop.objectives + moop.constraints
         # Extraction runs at every trial point, so skip it when no term
         # declares that it reads the design.
-        self._reads_design = any(spec.reads_design
-                                 for spec in moop.objectives + moop.constraints)
+        self._reads_design = any(spec.reads_design for spec in self.terms)
 
     def _predict(self, z):
         if not self.surrogates:
@@ -96,12 +96,12 @@ class SubproblemEvaluator:
             x[name] = float(lower + np.clip(z[offset], 0.0, 1.0) * span)
         return x
 
-    def _penalized_objectives(self, x, s):
-        f = np.array([spec.func(x, s) for spec in self.moop.objectives], dtype=float)
-        if self.moop.p:
-            g = np.array([spec.func(x, s) for spec in self.moop.constraints], dtype=float)
-            f = f + self.lam * np.maximum(g, 0.0).sum()
-        return f
+    def _penalize(self, t):
+        """Objective values plus ``lam`` times the total constraint violation."""
+        o = self.moop.o
+        if not self.moop.p:
+            return t[:o]
+        return t[:o] + self.lam * np.maximum(t[o:], 0.0).sum()
 
     def _design(self, z):
         return embedding.extract(self.plan, z) if self._reads_design else {}
@@ -109,7 +109,7 @@ class SubproblemEvaluator:
     def value(self, z: np.ndarray) -> float:
         x = self._design(z)
         s = self._predict(z)
-        f = self._penalized_objectives(x, s)
+        f = self._penalize(np.array([spec.func(x, s) for spec in self.terms], dtype=float))
         sigma = None
         if self.state.kappa != 0.0 and self.state.weights is not None:
             sigma = self._sigma(self._uncertainty(z))
@@ -139,43 +139,29 @@ class SubproblemEvaluator:
         s = self._predict(z)
         js = self._predict_jacobian(z)
 
-        def term_grad(spec):
+        # One row per term; an inactive constraint keeps a zero row.
+        o = self.moop.o
+        t = np.empty(len(self.terms))
+        jac = np.zeros((len(self.terms), dim))
+        fd_rows = []
+        for j, spec in enumerate(self.terms):
+            t[j] = spec.func(x, s)
+            if j >= o and t[j] <= 0.0:
+                continue
+            if spec.grad is None:
+                fd_rows.append(j)
+                continue
             dx, ds = spec.grad(x, s)
-            out = np.asarray(ds, dtype=float) @ js
+            jac[j] = np.asarray(ds, dtype=float) @ js
             for name, offset, span, lower in self._chain:
                 partial = dx.get(name)
                 if partial:
-                    out[offset] += partial * span
-            return out
+                    jac[j, offset] += partial * span
+        if fd_rows:
+            self._fd_fill(z, x, t, jac, fd_rows)
 
-        f = np.empty(self.moop.o)
-        df = np.zeros((self.moop.o, dim))
-        fd_objs = []
-        for j, spec in enumerate(self.moop.objectives):
-            f[j] = spec.func(x, s)
-            if spec.grad is not None:
-                df[j] = term_grad(spec)
-            else:
-                fd_objs.append(j)
-
-        viol = 0.0
-        dviol = np.zeros(dim)
-        fd_cons = []
-        gvals = np.empty(self.moop.p)
-        for j, spec in enumerate(self.moop.constraints):
-            gvals[j] = spec.func(x, s)
-            if gvals[j] > 0.0:
-                viol += gvals[j]
-                if spec.grad is not None:
-                    dviol += term_grad(spec)
-                else:
-                    fd_cons.append(j)
-
-        if fd_objs or fd_cons:
-            self._fd_fill(z, x, s, f, gvals, df, dviol, fd_objs, fd_cons)
-
-        f_pen = f + self.lam * viol
-        df_pen = df + self.lam * dviol[None, :]
+        f_pen = self._penalize(t)
+        df_pen = jac[:o] + self.lam * jac[o:].sum(axis=0)
         dq = scalarize_gradient(self.state, f_pen)
         grad = dq @ df_pen
         sigma = None
@@ -185,8 +171,8 @@ class SubproblemEvaluator:
             grad -= self.state.kappa * (self.state.weights @ self._sigma_jacobian(z, u))
         return scalarize(self.state, f_pen, sigma), grad
 
-    def _fd_fill(self, z, x, s, f, gvals, df, dviol, fd_objs, fd_cons):
-        """Forward differences on the latent cube for gradless terms."""
+    def _fd_fill(self, z, x, t, jac, rows):
+        """Forward differences on the latent cube for the gradless ``rows``."""
         h = self.config.fd_step
         for i in range(len(z)):
             step = h if z[i] + h <= 1.0 else -h
@@ -194,10 +180,8 @@ class SubproblemEvaluator:
             z2[i] += step
             x2 = self._smooth_design(z2, x)
             s2 = self._predict(z2)
-            for j in fd_objs:
-                df[j, i] = (self.moop.objectives[j].func(x2, s2) - f[j]) / step
-            for j in fd_cons:
-                dviol[i] += (self.moop.constraints[j].func(x2, s2) - gvals[j]) / step
+            for j in rows:
+                jac[j, i] = (self.terms[j].func(x2, s2) - t[j]) / step
 
 
 def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: TrustRegion,

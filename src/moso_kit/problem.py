@@ -3,14 +3,15 @@
 A problem couples a box-bounded mixed design space with one or more
 expensive simulations and cheap algebraic objectives/constraints that
 read both the design point and the simulation outputs.  Objectives and
-constraints are minimized / satisfied-when-nonpositive.
+constraints are one kind of term: an objective is minimized, a constraint
+is satisfied when its value is nonpositive.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -103,7 +104,10 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A scalar objective of (design point, concatenated sim outputs).
+    """A scalar term of (design point, concatenated sim outputs).
+
+    Listed under ``objectives`` a term is minimized; listed under
+    ``constraints`` it is satisfied when its value is <= 0.
 
     ``grad``, when given, returns ``(dx, ds)`` where ``dx`` maps
     continuous-variable names to partials and ``ds`` is the partial with
@@ -124,14 +128,8 @@ class ObjectiveSpec:
     reads_design: bool = True
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Like ObjectiveSpec; values <= 0 are satisfied."""
-
-    name: str
-    func: Callable[[DesignPoint, np.ndarray], float]
-    grad: Callable[[DesignPoint, np.ndarray], tuple[dict, np.ndarray]] | None = None
-    reads_design: bool = True
+#: A constraint is an objective-shaped term listed under ``constraints``.
+ConstraintSpec = ObjectiveSpec
 
 
 @dataclass(frozen=True)
@@ -308,24 +306,23 @@ def validate(defn) -> Moop:
     )
 
 
-def eval_objectives(moop: Moop, x: DesignPoint, s: np.ndarray) -> np.ndarray:
-    """Evaluate all objectives at a design point and sim-output vector."""
-    out = np.empty(moop.o)
-    for j, spec in enumerate(moop.objectives):
+def _eval_terms(specs, kind: str, x: DesignPoint, s: np.ndarray) -> np.ndarray:
+    out = np.empty(len(specs))
+    for j, spec in enumerate(specs):
         out[j] = spec.func(x, s)
         if not np.isfinite(out[j]):
-            raise EvaluationError(f"objective {j} ({spec.name!r}) returned a non-finite value")
+            raise EvaluationError(f"{kind} {j} ({spec.name!r}) returned a non-finite value")
     return out
+
+
+def eval_objectives(moop: Moop, x: DesignPoint, s: np.ndarray) -> np.ndarray:
+    """Evaluate all objectives at a design point and sim-output vector."""
+    return _eval_terms(moop.objectives, "objective", x, s)
 
 
 def eval_constraints(moop: Moop, x: DesignPoint, s: np.ndarray) -> np.ndarray:
     """Evaluate all constraints; values <= 0 are satisfied."""
-    out = np.empty(moop.p)
-    for j, spec in enumerate(moop.constraints):
-        out[j] = spec.func(x, s)
-        if not np.isfinite(out[j]):
-            raise EvaluationError(f"constraint {j} ({spec.name!r}) returned a non-finite value")
-    return out
+    return _eval_terms(moop.constraints, "constraint", x, s)
 
 
 @dataclass
@@ -433,7 +430,8 @@ def _readonly(view: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Built-in objective/constraint forms.  These give the CLI its vocabulary and
-# carry analytic gradients so structured problems get exact chain rules.
+# carry analytic gradients so structured problems get exact chain rules.  A
+# constraint form is its objective form minus a cap.
 
 def identity_objective(name: str, index: int, scale: float = 1.0) -> ObjectiveSpec:
     """F = scale * s[index]."""
@@ -490,31 +488,17 @@ def linear_objective(name: str, coeffs, const: float = 0.0) -> ObjectiveSpec:
     return ObjectiveSpec(name, func, grad, reads_design=False)
 
 
+def _capped(spec: ObjectiveSpec, cap: float) -> ConstraintSpec:
+    """The constraint ``spec - cap <= 0``; ``grad`` and ``reads_design`` carry over."""
+    func = spec.func
+    return replace(spec, func=lambda x, s: func(x, s) - cap)
+
+
 def sum_of_squares_constraint(name: str, indices, cap: float) -> ConstraintSpec:
     """G = sum(s[i]**2 for i in indices) - cap, satisfied when <= 0."""
-    idx = np.asarray(indices, dtype=int)
-
-    def func(x, s):
-        v = s[idx]
-        return float(v @ v) - cap
-
-    def grad(x, s):
-        ds = np.zeros(len(s))
-        ds[idx] = 2.0 * s[idx]
-        return {}, ds
-
-    return ConstraintSpec(name, func, grad, reads_design=False)
+    return _capped(sum_of_squares_objective(name, indices), cap)
 
 
 def identity_constraint(name: str, index: int, cap: float, scale: float = 1.0) -> ConstraintSpec:
     """G = scale * s[index] - cap, satisfied when <= 0."""
-
-    def func(x, s):
-        return scale * s[index] - cap
-
-    def grad(x, s):
-        ds = np.zeros(len(s))
-        ds[index] = scale
-        return {}, ds
-
-    return ConstraintSpec(name, func, grad, reads_design=False)
+    return _capped(identity_objective(name, index, scale), cap)

@@ -3,16 +3,21 @@
 import csv
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from moso_kit import _blas
+from moso_kit import _blas, testbed
 from moso_kit.cli import hv_trajectory, load_config, main, write_metrics_csv
 from moso_kit.metrics import hypervolume
-from moso_kit.problem import EvaluationDatabase
+from moso_kit.problem import EvaluationDatabase, validate
+
+from helpers import random_design
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(with_fixed=True, budget=24):
@@ -182,6 +187,92 @@ def test_bad_metrics_reference_is_a_config_error(tmp_path, ref):
     assert not out.exists()  # rejected before the solve
 
 
+def _set_objective(cfg, key, value):
+    cfg["objectives"][0] = {"name": "f1", "form": key, **value}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cfg: _set_objective(cfg, "identity", {"index": 7}),
+    lambda cfg: _set_objective(cfg, "identity", {"index": True}),
+    lambda cfg: _set_objective(cfg, "identity", {"index": 1.0}),
+    lambda cfg: _set_objective(cfg, "sum_of_squares", {"indices": [0, 9]}),
+    lambda cfg: _set_objective(cfg, "sum_of_squares", {"indices": [-1]}),
+    lambda cfg: _set_objective(cfg, "sum_of_squares", {"indices": 1}),
+    lambda cfg: _set_objective(cfg, "linear", {"coeffs": [1.0, 2.0, 3.0]}),
+    lambda cfg: _set_objective(cfg, "linear", {"coeffs": [1.0, "2"]}),
+    lambda cfg: _set_objective(cfg, "variable", {"variable": "warp"}),
+    lambda cfg: (cfg["variables"].append({"name": "solvent", "kind": "categorical",
+                                          "levels": ["S1", "S2"]}),
+                 _set_objective(cfg, "variable", {"variable": "solvent"})),
+    lambda cfg: cfg.update(constraints=[{"name": "g", "form": "identity", "index": 5,
+                                         "cap": 1.0}]),
+], ids=["index_out_of_range", "index_bool", "index_float", "indices_out_of_range",
+        "indices_negative", "indices_not_a_list", "coeffs_length", "coeffs_string",
+        "unknown_variable", "categorical_variable", "constraint_index"])
+def test_bad_term_reference_is_a_config_error(tmp_path, edit):
+    cfg = small_config()
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert not out.exists()  # rejected before the initial design runs
+
+
+@pytest.mark.parametrize("key, value", [
+    ("budget", "24"), ("budget", 24.5), ("budget", True),
+    ("seed", "abc"), ("seed", 1.5), ("seed", -3), ("seed", None),
+])
+def test_seed_and_budget_types_are_config_errors(tmp_path, key, value):
+    cfg = small_config()
+    cfg[key] = value
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert key in result.output
+    assert not out.exists()
+
+
+def test_negative_seed_option_is_a_config_error(tmp_path):
+    path = write_config(tmp_path, small_config())
+    result = run_cli(["run", "--config", str(path), "--seed", "-3",
+                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "seed" in result.output
+
+
+#: The testbed wiring that each shipped config spells out.
+CONFIG_WIRINGS = {
+    "calibration.json": lambda: testbed.residuals_moop(structured=True),
+    "dtlz2.json": lambda: testbed.dtlz2_moop(),
+    "reactor.json": lambda: testbed.cfr_moop(structured=True),
+}
+
+
+def test_every_shipped_config_has_a_wiring():
+    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(CONFIG_WIRINGS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_WIRINGS))
+def test_shipped_config_terms_match_testbed_wiring_bitwise(name):
+    moop, _ = load_config(CONFIGS / name)
+    wired = validate(CONFIG_WIRINGS[name]())
+    assert moop.variables == wired.variables and moop.m == wired.m
+    assert (moop.o, moop.p) == (wired.o, wired.p)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        x = random_design(rng, moop.variables)
+        s = rng.normal(0.0, 3.0, moop.m)
+        for got, want in zip(moop.objectives + moop.constraints,
+                             wired.objectives + wired.constraints):
+            assert (got.name, got.reads_design) == (want.name, want.reads_design)
+            assert got.func(x, s) == want.func(x, s)
+            (gdx, gds), (wdx, wds) = got.grad(x, s), want.grad(x, s)
+            assert gdx == wdx
+            np.testing.assert_array_equal(gds, wds)
+
+
 def per_prefix_hv_trajectory(objectives, feasible, iterations, ref):
     """Reference: filter and measure every iteration's prefix from scratch."""
     rows = []
@@ -206,6 +297,17 @@ def test_hv_trajectory_matches_per_prefix_reference_bitwise():
         iterations = rng.integers(0, 6, n).tolist()  # unsorted
         got = hv_trajectory(objectives, feasible, iterations, ref)
         assert got == per_prefix_hv_trajectory(objectives, feasible, iterations, ref), trial
+
+
+def test_hv_trajectory_warns_once_about_points_beyond_the_reference(caplog):
+    objectives = np.array([[0.5, 0.5], [1.5, 0.2], [0.2, 0.9], [0.1, 2.0], [0.3, 0.3]])
+    feasible = np.array([True, True, True, True, False])
+    with caplog.at_level(logging.WARNING):
+        rows = hv_trajectory(objectives, feasible, [0, 1, 2, 3, 4], np.ones(2))
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "2 feasible point(s) beyond" in warnings[0].getMessage()
+    assert [hv for _, _, hv in rows] == [0.25, 0.25, 0.28, 0.28, 0.28]
 
 
 def test_metrics_csv_without_a_reference_point(tmp_path):

@@ -360,3 +360,61 @@ def test_uncertainty_bonus_without_simulations_is_zero():
     plain_value, plain_grad = SubproblemEvaluator(moop, weighted(1.0), [], lam=1.0).value_and_grad(z)
     assert ev.value(z) == value == plain_value
     np.testing.assert_array_equal(grad, plain_grad)
+
+
+def active_constraint_landscape():
+    """Three simulation outputs over three variables, fitted by one global model."""
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0.0, 1.0, (25, 3))
+    vals = np.column_stack([np.sin(3 * pts[:, 0]) + pts[:, 1] ** 2,
+                            np.cos(2 * pts[:, 2]) * pts[:, 0],
+                            pts[:, 1] * pts[:, 2]])
+    return rng, RbfSurrogate.fit(pts, vals)
+
+
+def test_value_and_grad_value_is_value_with_every_constraint_active():
+    moop = make_moop(
+        n_vars=3,
+        sim_dim=3,
+        objectives=[identity_objective("f1", 0), identity_objective("f2", 1)],
+        constraints=[identity_constraint("g1", 0, -10.0),
+                     sum_of_squares_constraint("g2", [1, 2], -3.0),
+                     identity_constraint("g3", 2, -7.5, scale=0.3)],
+    )
+    rng, model = active_constraint_landscape()
+    states = [weighted(0.3, 0.7),
+              ScalarizationState("random_epsilon_constraint", target=1,
+                                 epsilons=np.array([0.2, 0.0]), kappa=0.0)]
+    for state in states:
+        ev = SubproblemEvaluator(moop, state, [model], lam=1.7)
+        for _ in range(20):
+            z = rng.uniform(0.0, 1.0, 3)
+            s = model.evaluate(z)
+            assert (np.array([spec.func({}, s) for spec in moop.constraints]) > 0).all()
+            assert ev.value_and_grad(z)[0] == ev.value(z)
+
+
+def test_gradless_terms_match_central_differences():
+    # Gradless terms, one of each kind, next to built-in constraints; the
+    # constraints "off" stay inactive and the others active near every z.
+    moop = make_moop(
+        n_vars=3,
+        sim_dim=3,
+        objectives=[identity_objective("f1", 0),
+                    ObjectiveSpec("f2", lambda x, s: s[1] ** 2 + 0.5 * x["x2"])],
+        constraints=[identity_constraint("on", 0, -10.0),
+                     ObjectiveSpec("fd_on", lambda x, s: s[2] * x["x1"] + 5.0),
+                     sum_of_squares_constraint("off", [1], 100.0),
+                     ObjectiveSpec("fd_off", lambda x, s: s[0] - x["x3"] - 20.0)],
+    )
+    rng, model = active_constraint_landscape()
+    ev = SubproblemEvaluator(moop, weighted(0.4, 0.6), [model], lam=2.5)
+    h = 1e-6
+    for _ in range(10):
+        z = rng.uniform(0.2, 0.8, 3)
+        _, grad = ev.value_and_grad(z)
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = h
+            fd = (ev.value(z + e) - ev.value(z - e)) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)

@@ -7,11 +7,13 @@ from moso_kit.embedding import build_plan, embed
 from moso_kit.orchestrator import problem_fingerprint
 from moso_kit.problem import (
     AcquisitionSpec,
+    ConstraintSpec,
     DesignVariable,
     DuplicatePointError,
     EvaluationDatabase,
     EvaluationError,
     MoopDefinition,
+    ObjectiveSpec,
     SimulationSpec,
     ValidationError,
     eval_constraints,
@@ -134,6 +136,37 @@ def test_sum_of_squares_cap_infeasible_example():
                       sim_dim=3)
     g = eval_constraints(moop, {"x1": 0.1, "RT": 70.0}, np.array([3.0, 4.0, 0.0]))
     assert g == pytest.approx([5.0])
+
+
+def test_constraint_forms_are_capped_objective_forms():
+    assert ConstraintSpec is ObjectiveSpec
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        s = rng.normal(0.0, 10.0, 7)
+        i, scale, cap = int(rng.integers(7)), float(rng.normal()), float(rng.normal(0.0, 5.0))
+        idx = rng.choice(7, size=int(rng.integers(1, 8)), replace=False)
+        v = s[idx]
+        pairs = [
+            (identity_constraint("g", i, cap, scale=scale), identity_objective("g", i, scale=scale),
+             scale * s[i] - cap),
+            (sum_of_squares_constraint("g", idx, cap), sum_of_squares_objective("g", idx),
+             float(v @ v) - cap),
+        ]
+        for constraint, objective, want in pairs:
+            got = constraint.func({}, s)
+            assert got == want and type(got) is type(want)
+            (cdx, cds), (odx, ods) = constraint.grad({}, s), objective.grad({}, s)
+            assert cdx == odx == {}
+            assert np.array_equal(cds, ods)
+            assert constraint.reads_design is objective.reads_design is False
+
+
+def test_eval_constraints_flags_non_finite_with_index():
+    moop = small_moop([identity_objective("f", 0)],
+                      constraints=[identity_constraint("ok", 0, 1.0),
+                                   identity_constraint("bad", 1, -np.inf)])
+    with pytest.raises(EvaluationError, match=r"constraint 1 \('bad'\)"):
+        eval_constraints(moop, {"x1": 0.0, "RT": 60.0}, np.ones(3))
 
 
 def test_eval_objectives_flags_non_finite_with_index():
