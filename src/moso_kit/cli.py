@@ -42,7 +42,9 @@ the run starts; without it the feasible nadir of the finished run is
 used, and the hypervolume is nan when no record is feasible.  A
 constraint is an ``identity`` or ``sum_of_squares`` form minus ``cap``.
 Term references (output indices, ``coeffs``, ``variable``) are checked
-against the simulation outputs and numeric variables at load.  Exit
+against the simulation outputs and numeric variables at load, and
+``scale``, ``const`` and ``cap`` must be finite numbers.  The ``dtlz2``
+testbed takes no categorical variable.  Exit
 codes: 0 on success, 2 for config problems, 3 for runtime failures.
 """
 
@@ -62,7 +64,9 @@ import click
 import numpy as np
 
 from . import __version__, _blas, testbed
-from .metrics import hypervolume, insertion_mask, pct_hv_improvement
+# ``hypervolume`` is not called here since hv_trajectory keeps its own front,
+# but perfbench/recorder.py times it under this name.
+from .metrics import _front_hypervolume, hypervolume, insertion_mask, pct_hv_improvement
 from .orchestrator import MoopSolver
 from .problem import (
     AcquisitionSpec,
@@ -140,6 +144,10 @@ def _build_simulations(entries, variables, seed, q0=None):
             raise ConfigError(f"simulation {name!r}: unknown testbed entry {key!r}")
         options = entry.get("options", {})
         if key == "dtlz2":
+            categorical = [v.name for v in variables if v.kind == "categorical"]
+            if categorical:
+                raise ConfigError(f"simulation {name!r}: dtlz2 reads every variable as a number, "
+                                  f"but {categorical[0]!r} is categorical")
             o = options.get("n_objectives", 3)
             evaluator = testbed.dtlz2_evaluator(var_names, o)
             output_dim = o
@@ -183,6 +191,14 @@ def _output_index(value, m, where):
     raise ConfigError(f"{where}: output index must be an integer in [0, {m}), got {value!r}")
 
 
+def _finite_number(entry, key, where, default=None):
+    """``entry[key]`` (or ``default`` when given and the key is absent), a finite number."""
+    value = entry.get(key, default) if default is not None else _require(entry, key, where)
+    if _finite_numbers([value], 1):
+        return value
+    raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+
+
 def _build_terms(entries, constraint: bool, m: int, variables):
     """Objective forms, capped for a constraint, over ``m`` sim outputs and ``variables``."""
     kind = "constraint" if constraint else "objective"
@@ -194,7 +210,7 @@ def _build_terms(entries, constraint: bool, m: int, variables):
         where = f"{kind} {name!r}"
         if form == "identity":
             spec = identity_objective(name, _output_index(_require(entry, "index", name), m, where),
-                                      scale=entry.get("scale", 1.0))
+                                      scale=_finite_number(entry, "scale", where, 1.0))
         elif form == "sum_of_squares":
             spec = sum_of_squares_objective(
                 name, [_output_index(j, m, where) for j in _require(entry, "indices", name)])
@@ -202,15 +218,15 @@ def _build_terms(entries, constraint: bool, m: int, variables):
             variable = _require(entry, "variable", name)
             if variable not in numeric:
                 raise ConfigError(f"{where}: no continuous or integer variable {variable!r}")
-            spec = variable_objective(name, variable, scale=entry.get("scale", 1.0))
+            spec = variable_objective(name, variable, scale=_finite_number(entry, "scale", where, 1.0))
         elif form == "linear" and not constraint:
             coeffs = _require(entry, "coeffs", name)
             if not _finite_numbers(coeffs, m):
                 raise ConfigError(f"{where}: coeffs must be {m} finite numbers, got {coeffs!r}")
-            spec = linear_objective(name, coeffs, const=entry.get("const", 0.0))
+            spec = linear_objective(name, coeffs, const=_finite_number(entry, "const", where, 0.0))
         else:
             raise ConfigError(f"{where}: unknown form {form!r}")
-        out.append(_capped(spec, _require(entry, "cap", name)) if constraint else spec)
+        out.append(_capped(spec, _finite_number(entry, "cap", where)) if constraint else spec)
     return out
 
 
@@ -310,6 +326,7 @@ def hv_trajectory(objectives, feasible, iterations, ref):
     order = np.argsort(iterations, kind="stable")
     enters = np.asarray(feasible, dtype=bool)
     if ref is not None:
+        ref = np.asarray(ref, dtype=float)
         beyond = enters & ~(objectives <= ref).all(axis=1)
         if beyond.any():
             logger.warning("%d feasible point(s) beyond the reference point dropped",
@@ -321,7 +338,7 @@ def hv_trajectory(objectives, feasible, iterations, ref):
         if keep is not None:
             front = np.vstack([front[keep], objectives[i]])
         if n == len(order) or iterations[order[n]] != iterations[i]:
-            hv = math.nan if ref is None else float(hypervolume(front, ref))
+            hv = math.nan if ref is None else float(_front_hypervolume(front, ref))
             rows.append((int(iterations[i]), n, hv))
     return rows
 

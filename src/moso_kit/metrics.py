@@ -115,10 +115,17 @@ def hypervolume(points, ref, mc_seed: int = 0, mc_samples: int = MC_SAMPLES) -> 
         pts = pts[inside]
     if len(pts) == 0:
         return 0.0
-    pts = pts[nondominated_filter(pts)]
+    return _front_hypervolume(pts[nondominated_filter(pts)], ref, mc_seed, mc_samples)
+
+
+def _front_hypervolume(front: np.ndarray, ref: np.ndarray, mc_seed: int = 0,
+                       mc_samples: int = MC_SAMPLES) -> float:
+    """``hypervolume`` of a front already inside ``ref`` and mutually nondominated."""
+    if len(front) == 0:
+        return 0.0
     if ref.size > 4:
-        return _hv_monte_carlo(pts, ref, mc_seed, mc_samples)
-    return _hv_sweep(pts, ref)
+        return _hv_monte_carlo(front, ref, mc_seed, mc_samples)
+    return _hv_sweep(front, ref)
 
 
 def pct_hv_improvement(hv: float, hv_initial: float, mode: str = "relative_to_initial",

@@ -15,6 +15,15 @@ the value by no more than ``decrease_factor`` relative to the new value,
 the relative-reduction test of L-BFGS-B: near the kink of an
 epsilon-constraint scalarization the steps otherwise keep shrinking and
 each costs up to 40 line-search trials.
+
+The backtracking trials ``alpha = 2**-j`` are evaluated in blocks by
+``SubproblemEvaluator.value_rows``: one surrogate prediction for the
+whole block, the terms per row, then the penalty and the scalarization
+over the rows as arrays.  The first block of an iteration holds as many
+trials as the previous iteration needed, later blocks ``TRIAL_BLOCK``.
+The first trial in sequence order that passes is accepted, so blocks
+change which points are evaluated, not which one is taken.  ``value`` is
+the one-row case of ``value_rows``.
 """
 
 from __future__ import annotations
@@ -24,9 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding
-from .acquisition import ScalarizationState, scalarize, scalarize_gradient
+from .acquisition import ScalarizationState, scalarize, scalarize_gradient, scalarize_rows
 from .problem import Moop
 from .surrogate import TrustRegion
+
+#: Backtracking trials per BFGS iteration, at most.
+MAX_TRIALS = 40
+#: Trials per line-search block after the first.
+TRIAL_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -97,23 +111,35 @@ class SubproblemEvaluator:
         return x
 
     def _penalize(self, t):
-        """Objective values plus ``lam`` times the total constraint violation."""
+        """Objective rows plus ``lam`` times each row's total constraint violation."""
         o = self.moop.o
         if not self.moop.p:
-            return t[:o]
-        return t[:o] + self.lam * np.maximum(t[o:], 0.0).sum()
+            return t[:, :o]
+        return t[:, :o] + self.lam * np.maximum(t[:, o:], 0.0).sum(axis=1, keepdims=True)
 
     def _design(self, z):
         return embedding.extract(self.plan, z) if self._reads_design else {}
 
+    def _bonus(self):
+        return self.state.kappa != 0.0 and self.state.weights is not None
+
+    def value_rows(self, points: np.ndarray) -> np.ndarray:
+        """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
+        points = np.asarray(points, dtype=float)
+        if self.surrogates:
+            preds = np.hstack([s.evaluate_rows(points) for s in self.surrogates])
+        else:
+            preds = np.empty((len(points), 0))
+        t = np.array([[spec.func(x, s) for spec in self.terms]
+                      for x, s in zip(map(self._design, points), preds)], dtype=float)
+        f = self._penalize(t)
+        if self._bonus():
+            return np.array([scalarize(self.state, fv, self._sigma(self._uncertainty(z)))
+                             for z, fv in zip(points, f)])
+        return scalarize_rows(self.state, f)
+
     def value(self, z: np.ndarray) -> float:
-        x = self._design(z)
-        s = self._predict(z)
-        f = self._penalize(np.array([spec.func(x, s) for spec in self.terms], dtype=float))
-        sigma = None
-        if self.state.kappa != 0.0 and self.state.weights is not None:
-            sigma = self._sigma(self._uncertainty(z))
-        return scalarize(self.state, f, sigma)
+        return float(self.value_rows(np.asarray(z, dtype=float)[None])[0])
 
     def _uncertainty(self, z):
         if not self.surrogates:
@@ -160,16 +186,14 @@ class SubproblemEvaluator:
         if fd_rows:
             self._fd_fill(z, x, t, jac, fd_rows)
 
-        f_pen = self._penalize(t)
+        f_pen = self._penalize(t[None])
         df_pen = jac[:o] + self.lam * jac[o:].sum(axis=0)
-        dq = scalarize_gradient(self.state, f_pen)
-        grad = dq @ df_pen
-        sigma = None
-        if self.state.kappa != 0.0 and self.state.weights is not None:
-            u = self._uncertainty(z)
-            sigma = self._sigma(u)
-            grad -= self.state.kappa * (self.state.weights @ self._sigma_jacobian(z, u))
-        return scalarize(self.state, f_pen, sigma), grad
+        grad = scalarize_gradient(self.state, f_pen[0]) @ df_pen
+        if not self._bonus():
+            return float(scalarize_rows(self.state, f_pen)[0]), grad
+        u = self._uncertainty(z)
+        grad -= self.state.kappa * (self.state.weights @ self._sigma_jacobian(z, u))
+        return scalarize(self.state, f_pen[0], self._sigma(u)), grad
 
     def _fd_fill(self, z, x, t, jac, rows):
         """Forward differences on the latent cube for the gradless ``rows``."""
@@ -182,6 +206,34 @@ class SubproblemEvaluator:
             s2 = self._predict(z2)
             for j in rows:
                 jac[j, i] = (self.terms[j].func(x2, s2) - t[j]) / step
+
+
+def _line_search(ev, z, f, g, d, lo, hi, armijo_c, first_block):
+    """Armijo backtracking along ``alpha = 2**-j`` for ``j < MAX_TRIALS``, in blocks.
+
+    Returns ``(z_new, f_new, j + 1)`` for the first trial ``j`` in
+    sequence order that passes, or None once a trial no longer moves
+    ``z`` or every trial fails.  The first block holds ``first_block``
+    trials, later ones ``TRIAL_BLOCK``.
+    """
+    j, size = 0, first_block
+    while j < MAX_TRIALS:
+        alphas = 0.5 ** np.arange(j, min(j + size, MAX_TRIALS))
+        # np.minimum/np.maximum give np.clip's values at less overhead.
+        trials = np.minimum(np.maximum(z + alphas[:, None] * d, lo), hi)
+        steps = trials - z
+        moved = steps.any(axis=1)
+        n = len(alphas) if moved.all() else int(moved.argmin())
+        if n:
+            values = ev.value_rows(trials[:n])
+            passed = values <= f + armijo_c * (steps[:n] @ g)
+            if passed.any():
+                i = int(passed.argmax())
+                return trials[i], float(values[i]), j + i + 1
+        if n < len(alphas):
+            return None
+        j, size = j + n, TRIAL_BLOCK
+    return None
 
 
 def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: TrustRegion,
@@ -202,6 +254,7 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
     f_start = f
     h_inv = np.eye(len(z))
     iterations = 0
+    first_block = TRIAL_BLOCK
 
     for _ in range(config.max_iterations):
         pg = z - np.clip(z - g, lo, hi)
@@ -213,23 +266,10 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
             h_inv = np.eye(len(z))
             d = -g
 
-        alpha = 1.0
-        accepted = None
-        for _ in range(40):
-            # np.minimum/np.maximum give np.clip's values at less overhead.
-            z_new = np.minimum(np.maximum(z + alpha * d, lo), hi)
-            step = z_new - z
-            if not step.any():
-                break
-            f_new = ev.value(z_new)
-            if f_new <= f + config.armijo_c * (g @ step):
-                accepted = (z_new, f_new)
-                break
-            alpha *= 0.5
+        accepted = _line_search(ev, z, f, g, d, lo, hi, config.armijo_c, first_block)
         if accepted is None:
             break
-
-        z_new, f_new = accepted
+        z_new, f_new, first_block = accepted
         if f - f_new <= config.decrease_factor * max(1.0, abs(f_new)):
             z, f = z_new, f_new
             break

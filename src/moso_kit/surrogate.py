@@ -5,6 +5,14 @@ per output.  The kernel is phi(r) = exp(-(eps*r)**2) with the shape
 parameter tied to the data spacing, plus a small trace-scaled nugget so
 the system stays positive definite.  Models are immutable once fitted;
 trust-region localization returns a new model fitted on nearby data.
+
+Predictions take a block of latent rows at once (``evaluate_rows``) and
+expand the kernel exponent as ``-eps**2 * (|z|**2 - 2 z.c + |c|**2)``
+with the center norms cached at fit: one matrix product, one ``exp``
+and one product with the coefficients per block.  The exponent is
+clipped at zero, where cancellation near a center could make it
+positive.  ``evaluate`` is the one-row case.  The gradient and the
+uncertainty keep the difference form ``z - c``, which they need anyway.
 """
 
 from __future__ import annotations
@@ -66,6 +74,12 @@ class RbfSurrogate:
         self._cho = cho
         self.out_std = out_std          # (m,)
         self.values = values            # (N, m), kept for refits
+        # The kernel exponent -eps**2 * |z - c|**2 is expanded as
+        # z . (2 eps**2 c) - eps**2 |c|**2 - eps**2 |z|**2.
+        e2 = eps ** 2
+        self._e2 = e2
+        self._scaled_t = np.ascontiguousarray((2.0 * e2) * centers.T)   # (l, N)
+        self._scaled_sq = e2 * np.einsum("ij,ij->i", centers, centers)  # (N,)
 
     @property
     def n_points(self) -> int:
@@ -124,10 +138,18 @@ class RbfSurrogate:
         k = np.exp(-(self.eps ** 2) * np.einsum("ij,ij->i", diffs, diffs))
         return k, diffs
 
+    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        """Predicted outputs (B, m) at the latent rows of ``points`` (B, l)."""
+        z = np.asarray(points, dtype=float)
+        arg = z @ self._scaled_t
+        arg -= self._scaled_sq
+        arg -= self._e2 * np.einsum("ij,ij->i", z, z)[:, None]
+        np.minimum(arg, 0.0, out=arg)
+        return np.exp(arg, out=arg) @ self.coef
+
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Predicted outputs at a latent point."""
-        k, _ = self._kvec(z)
-        return k @ self.coef
+        return self.evaluate_rows(np.asarray(z, dtype=float)[None])[0]
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         """Jacobian (output_dim, latent_dim) of the prediction."""

@@ -220,6 +220,38 @@ def test_bad_term_reference_is_a_config_error(tmp_path, edit):
     assert not out.exists()  # rejected before the initial design runs
 
 
+@pytest.mark.parametrize("term, key, value", [
+    ("constraint", "cap", "0.5"), ("constraint", "cap", float("nan")), ("constraint", "cap", True),
+    ("identity", "scale", "2"), ("identity", "scale", float("inf")), ("identity", "scale", False),
+    ("variable", "scale", [1.0]), ("linear", "const", "0"), ("linear", "const", None),
+])
+def test_non_numeric_term_constant_is_a_config_error(tmp_path, term, key, value):
+    cfg = small_config()
+    if term == "constraint":
+        cfg["constraints"] = [{"name": "g", "form": "identity", "index": 0, key: value}]
+    elif term == "identity":
+        _set_objective(cfg, "identity", {"index": 0, key: value})
+    elif term == "variable":
+        _set_objective(cfg, "variable", {"variable": "x1", key: value})
+    else:
+        _set_objective(cfg, "linear", {"coeffs": [1.0, 1.0], key: value})
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{key} must be a finite number" in result.output
+    assert not out.exists()  # rejected before the initial design runs
+
+
+def test_categorical_variable_under_dtlz2_is_a_config_error(tmp_path):
+    cfg = small_config()
+    cfg["variables"].append({"name": "solvent", "kind": "categorical", "levels": ["S1", "S2"]})
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "'solvent' is categorical" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("budget", "24"), ("budget", 24.5), ("budget", True),
     ("seed", "abc"), ("seed", 1.5), ("seed", -3), ("seed", None),

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moso_kit import embedding
+from moso_kit import embedding, optimizer
 from moso_kit.acquisition import ScalarizationState
 from moso_kit.optimizer import (
     OptimizerConfig,
@@ -418,3 +418,85 @@ def test_gradless_terms_match_central_differences():
             e[i] = h
             fd = (ev.value(z + e) - ev.value(z - e)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)
+
+
+def test_value_is_the_one_row_case_of_value_rows():
+    moop = make_moop(
+        n_vars=3,
+        sim_dim=3,
+        objectives=[identity_objective("f1", 0), identity_objective("f2", 1)],
+        constraints=[identity_constraint("g1", 0, 0.2),
+                     sum_of_squares_constraint("g2", [1, 2], 0.5)],
+    )
+    rng, model = active_constraint_landscape()
+    states = [(weighted(0.3, 0.7), OptimizerConfig()),
+              (ScalarizationState("random_epsilon_constraint", target=1,
+                                  epsilons=np.array([0.2, 0.0])), OptimizerConfig()),
+              (ScalarizationState("fixed_weight", weights=np.array([0.6, 0.4]), kappa=2.0),
+               OptimizerConfig(kappa=2.0))]
+    for state, config in states:
+        ev = SubproblemEvaluator(moop, state, [model], lam=1.7, config=config)
+        block = rng.uniform(0.0, 1.0, (9, 3))
+        values = ev.value_rows(block)
+        for z, v in zip(block, values):
+            assert ev.value(z) == ev.value_rows(z[None])[0] == ev.value_and_grad(z)[0]
+            assert v == pytest.approx(ev.value(z), rel=1e-12, abs=1e-12)
+
+
+def sequential_line_search(ev, z, f, g, d, lo, hi, armijo_c):
+    """Index of the first trial ``alpha = 2**-j`` that passes, one ``value`` at a time."""
+    alpha = 1.0
+    for j in range(optimizer.MAX_TRIALS):
+        z_new = np.clip(z + alpha * d, lo, hi)
+        step = z_new - z
+        if not step.any():
+            return None
+        if ev.value(z_new) <= f + armijo_c * (g @ step):
+            return j
+        alpha *= 0.5
+    return None
+
+
+def random_line_search_problems(rng):
+    for _ in range(6):
+        dim = int(rng.integers(1, 5))
+        yield make_moop(n_vars=dim, objectives=[quadratic_objective(rng.uniform(-0.2, 1.2, dim))]), \
+            weighted(1.0), []
+    f1 = ObjectiveSpec("f1", lambda x, s: x["x1"], lambda x, s: ({"x1": 1.0}, np.empty(0)))
+    f2 = ObjectiveSpec("f2", lambda x, s: 1.0 - x["x1"] + (x["x2"] - 0.5) ** 2,
+                       lambda x, s: ({"x1": -1.0, "x2": 2.0 * (x["x2"] - 0.5)}, np.empty(0)))
+    for _ in range(6):
+        state = ScalarizationState("random_epsilon_constraint", target=int(rng.integers(2)),
+                                   epsilons=rng.uniform(0.2, 0.8, 2))
+        yield make_moop(n_vars=2, objectives=[f1, f2]), state, []
+    moop = make_moop(n_vars=3, sim_dim=3,
+                     objectives=[identity_objective("f1", 0), identity_objective("f2", 1)])
+    _, model = active_constraint_landscape()
+    for _ in range(4):
+        yield moop, weighted(*rng.dirichlet([1.0, 1.0])), [model]
+
+
+def test_block_line_search_accepts_the_sequential_trial(monkeypatch):
+    rng = np.random.default_rng(31)
+    block_search = optimizer._line_search
+    searches, rows = [], []
+
+    def checked(ev, z, f, g, d, lo, hi, armijo_c, first_block):
+        rows.clear()
+        accepted = block_search(ev, z, f, g, d, lo, hi, armijo_c, first_block)
+        assert sum(rows) <= optimizer.MAX_TRIALS
+        want = sequential_line_search(ev, z, f, g, d, lo, hi, armijo_c)
+        assert (None if accepted is None else accepted[2] - 1) == want
+        searches.append(want)
+        return accepted
+
+    counted = SubproblemEvaluator.value_rows
+    monkeypatch.setattr(SubproblemEvaluator, "value_rows",
+                        lambda ev, points: rows.append(len(points)) or counted(ev, points))
+    monkeypatch.setattr(optimizer, "_line_search", checked)
+    for moop, state, surrogates in random_line_search_problems(rng):
+        dim = len(moop.variables)
+        region = TrustRegion(center=rng.uniform(0.2, 0.8, dim), radius=float(rng.uniform(0.1, 0.5)))
+        solve(moop, state, surrogates, rng.uniform(*region.bounds()), region, lam=1.0)
+    # Both outcomes and trials beyond the first block were exercised.
+    assert None in searches and max(s for s in searches if s is not None) >= optimizer.TRIAL_BLOCK

@@ -65,6 +65,47 @@ def test_symmetric_two_center_cancellation():
     assert abs(g[0, 0]) > 0
 
 
+def kernel_model(model):
+    """``model`` with identity coefficients: its predictions are the kernel rows."""
+    n = model.n_points
+    return RbfSurrogate(model.centers, np.eye(n), model.eps, model.nugget, model._cho,
+                        np.ones(n), np.eye(n))
+
+
+@pytest.mark.parametrize("n, dim, m", [(200, 10, 3), (100, 13, 198), (1000, 10, 3)])
+def test_evaluate_rows_matches_the_difference_form(n, dim, m):
+    rng = np.random.default_rng(n + dim + m)
+    pts = rng.random((n, dim))
+    vals = np.sin(pts @ rng.uniform(-2.0, 2.0, (dim, m))) + rng.normal(0.0, 0.1, (n, m))
+    model = RbfSurrogate.fit(pts, vals)
+    rows = np.vstack([rng.random((40, dim)), pts[rng.choice(n, 10, replace=False)],
+                      pts[:5] + 1e-9])
+    diffs = rows[:, None, :] - pts[None, :, :]
+    k_ref = np.exp(-(model.eps ** 2) * np.einsum("bij,bij->bi", diffs, diffs))
+
+    k = kernel_model(model).evaluate_rows(rows)
+    assert not np.isnan(k).any()
+    assert (k >= 0.0).all() and (k <= 1.0).all()
+    np.testing.assert_allclose(k, k_ref, rtol=1e-12, atol=1e-12)
+    for b in range(40, 50):  # rows placed exactly on a center
+        assert np.isclose(k[b], 1.0, rtol=0.0, atol=1e-12).sum() >= 1
+
+    # The predictions agree up to the kernel's rounding times the
+    # coefficients, which reach 1e4 at N = 1000.
+    want = k_ref @ model.coef
+    amplified = np.finfo(float).eps * np.abs(model.coef).sum(axis=0)
+    assert (np.abs(model.evaluate_rows(rows) - want)
+            <= 1e-12 + 1e-12 * np.abs(want) + amplified).all()
+
+
+def test_evaluate_is_the_one_row_case_of_evaluate_rows():
+    rng = np.random.default_rng(5)
+    _, _, model = fit_random(rng)
+    rows = rng.random((7, 4))
+    for z in rows:
+        np.testing.assert_array_equal(model.evaluate(z), model.evaluate_rows(z[None])[0])
+
+
 def test_duplicate_centers_rejected():
     pts = np.array([[0.1, 0.1], [0.1, 0.1]])
     with pytest.raises(SurrogateError):
