@@ -103,12 +103,13 @@ def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
 def scalarize_rows(state: ScalarizationState, objs: np.ndarray) -> np.ndarray:
     """``scalarize`` of each row of ``objs`` (uncertainty zero), bitwise.
 
-    The epsilon-constraint kind runs as one array pass, whose row sums
-    match the per-vector sums exactly.  The weight kinds keep one
-    ``w @ f`` per row: no array form reproduces its rounding.
+    Both kinds run as one array pass.  The weight kinds take ``vecdot``,
+    the same dot product per row as ``w @ f`` (a ``(B, o) @ (o,)``
+    product rounds differently); the epsilon-constraint kind's row sums
+    match the per-vector sums exactly.
     """
     if state.weights is not None:
-        return np.array([scalarize(state, fv) for fv in objs])
+        return np.vecdot(objs, state.weights)
     over = np.maximum(objs - state.epsilons, 0.0)
     over[:, state.target] = 0.0
     return objs[:, state.target] + RHO * over.sum(axis=1)

@@ -4,10 +4,16 @@ Iteration 0 evaluates a space-filling design over the latent cube.
 Every later iteration refits the surrogates, refreshes each acquisition,
 solves its penalized subproblem inside a trust region around its chosen
 start record, swaps duplicates for model-improvement points, and sends
-the resulting batch to a worker pool.  Results merge in batch order so
-runs are reproducible for any worker count, and the whole solver state
-(database, penalty, RNG streams) round-trips through checkpoints: a small
-JSON state file plus an append-only journal of one JSON line per record.
+the resulting batch to a worker pool.  A slot whose region refits a local
+model is solved at once, so at most one refit is alive; the slots that
+keep the global models are solved together by ``optimizer.solve_batch``,
+and the outcomes become batch points in slot order, so each slot's RNG
+stream is drawn as if the slots ran one after another.  The optimizer
+config is checked when the solver is built, before anything runs.
+Results merge in batch order so runs are reproducible for any worker
+count, and the whole solver state (database, penalty, RNG streams)
+round-trips through checkpoints: a small JSON state file plus an
+append-only journal of one JSON line per record.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ class MoopSolver:
             raise ValidationError("workers must be >= 1")
         self.workers = workers
         self.checkpoint_path = checkpoint_path
-        self.opt_config = optimizer_config or optimizer.OptimizerConfig()
+        self.opt_config = optimizer.check_config(optimizer_config or optimizer.OptimizerConfig())
         self.database = EvaluationDatabase(self.moop.plan)
         self.archive = ParetoArchive()  # of the database, as of the last ``iterate``
         self.penalty = PenaltyState(self.moop.penalty.initial,
@@ -159,28 +165,46 @@ class MoopSolver:
         batch_keys: set[bytes] = set()
         cube = TrustRegion(center=np.full(self.moop.latent_dim, 0.5), radius=0.5)
 
+        # A slot whose region refits a model is solved at once, so that at
+        # most one refit is alive; the slots that keep the global models
+        # are solved together afterwards.
+        slots, outcomes, shared = [], {}, []
         for i, spec in enumerate(self.moop.acquisitions):
-            rng = self._acq_rngs[i]
-            state = acq.refresh(spec, archive, rng, self.moop.o, self.opt_config.kappa)
+            state = acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o,
+                                self.opt_config.kappa)
             start = acq.select_start(state, self.database, self.penalty.value)
             center = self.database.records[start].latent
             region = trust_region(center, latents, self.moop.n)
+            slots.append((state, center, region))
             local_models = [model.set_center(region, local=sim.surrogate.local)
                             for sim, model in zip(self.moop.simulations, models)]
+            if any(lm is not m for lm, m in zip(local_models, models)):
+                outcomes[i] = optimizer.solve(self.moop, state, local_models, center,
+                                              region, self.penalty.value, self.opt_config)
+            else:
+                shared.append(i)
+        if shared:
+            states, centers, regions = zip(*(slots[i] for i in shared))
+            outcomes.update(zip(shared, optimizer.solve_batch(
+                self.moop, states, models, centers, regions, self.penalty.value,
+                self.opt_config)))
 
-            outcome = optimizer.solve(self.moop, state, local_models, center,
-                                      region, self.penalty.value, self.opt_config)
+        for i, (_, _, region) in enumerate(slots):
+            outcome = outcomes[i]
             point = None
             if outcome.candidate is not None:
                 point = self._new_point(outcome.candidate, f"acquisition:{i}", batch_keys)
-            if point is None and local_models:
+            if point is None and models:
                 # A solve that converged onto an already-known point has
                 # exhausted its region; refine the model globally instead.
                 # A solve that could not make sufficient decrease still
                 # needs better local data, so it refines within its region.
+                # ``improve`` reads only the region and the data, so the
+                # global model stands in for a refit.
                 existing = np.vstack([latents, *(np.round(p.latent, 12) for p in batch.points)])
-                point = local_models[0].improve(
-                    cube if outcome.candidate is not None else region, existing, rng,
+                point = models[0].improve(
+                    cube if outcome.candidate is not None else region, existing,
+                    self._acq_rngs[i],
                     lambda z: self._new_point(z, f"improve:{i}", batch_keys))
                 if point is None:
                     logger.warning("acquisition %d: could not find an unevaluated point; "

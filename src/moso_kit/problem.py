@@ -120,12 +120,20 @@ class ObjectiveSpec:
     empty dict instead of extracting the design at every trial point.
     The built-in sim-output forms (``identity_*``, ``sum_of_squares_*``,
     ``linear_objective``) declare False; ``variable_objective`` keeps True.
+
+    ``rows``, when given, is the row form of ``func`` for a term that
+    reads only the simulation outputs: it maps a block of output rows
+    (B, m) to the B term values at once, and the inner solve calls it
+    instead of ``func`` once per row.  The built-in sim-output forms
+    supply one.  Replacing ``func`` on a term that has ``rows`` must
+    replace ``rows`` too.
     """
 
     name: str
     func: Callable[[DesignPoint, np.ndarray], float]
     grad: Callable[[DesignPoint, np.ndarray], tuple[dict, np.ndarray]] | None = None
     reads_design: bool = True
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 #: A constraint is an objective-shaped term listed under ``constraints``.
@@ -439,12 +447,15 @@ def identity_objective(name: str, index: int, scale: float = 1.0) -> ObjectiveSp
     def func(x, s):
         return scale * s[index]
 
+    def rows(preds):
+        return scale * preds[:, index]
+
     def grad(x, s):
         ds = np.zeros(len(s))
         ds[index] = scale
         return {}, ds
 
-    return ObjectiveSpec(name, func, grad, reads_design=False)
+    return ObjectiveSpec(name, func, grad, reads_design=False, rows=rows)
 
 
 def sum_of_squares_objective(name: str, indices) -> ObjectiveSpec:
@@ -455,12 +466,16 @@ def sum_of_squares_objective(name: str, indices) -> ObjectiveSpec:
         v = s[idx]
         return float(v @ v)
 
+    def rows(preds):
+        v = preds[:, idx]
+        return np.vecdot(v, v)
+
     def grad(x, s):
         ds = np.zeros(len(s))
         ds[idx] = 2.0 * s[idx]
         return {}, ds
 
-    return ObjectiveSpec(name, func, grad, reads_design=False)
+    return ObjectiveSpec(name, func, grad, reads_design=False, rows=rows)
 
 
 def variable_objective(name: str, variable: str, scale: float = 1.0) -> ObjectiveSpec:
@@ -482,16 +497,20 @@ def linear_objective(name: str, coeffs, const: float = 0.0) -> ObjectiveSpec:
     def func(x, s):
         return float(c @ s) + const
 
+    def rows(preds):
+        return np.vecdot(preds, c) + const
+
     def grad(x, s):
         return {}, c.copy()
 
-    return ObjectiveSpec(name, func, grad, reads_design=False)
+    return ObjectiveSpec(name, func, grad, reads_design=False, rows=rows)
 
 
 def _capped(spec: ObjectiveSpec, cap: float) -> ConstraintSpec:
     """The constraint ``spec - cap <= 0``; ``grad`` and ``reads_design`` carry over."""
-    func = spec.func
-    return replace(spec, func=lambda x, s: func(x, s) - cap)
+    func, rows = spec.func, spec.rows
+    return replace(spec, func=lambda x, s: func(x, s) - cap,
+                   rows=None if rows is None else lambda preds: rows(preds) - cap)
 
 
 def sum_of_squares_constraint(name: str, indices, cap: float) -> ConstraintSpec:

@@ -12,7 +12,9 @@ with the center norms cached at fit: one matrix product, one ``exp``
 and one product with the coefficients per block.  The exponent is
 clipped at zero, where cancellation near a center could make it
 positive.  ``evaluate`` is the one-row case.  The gradient and the
-uncertainty keep the difference form ``z - c``, which they need anyway.
+uncertainty keep the difference form ``z - c``, which they need anyway;
+``gradient_rows`` gives the Jacobians at a block of rows, one per row
+exactly as ``gradient`` (its one-row case) computes it.
 """
 
 from __future__ import annotations
@@ -151,11 +153,16 @@ class RbfSurrogate:
         """Predicted outputs at a latent point."""
         return self.evaluate_rows(np.asarray(z, dtype=float)[None])[0]
 
+    def gradient_rows(self, points: np.ndarray) -> np.ndarray:
+        """Jacobians (B, output_dim, latent_dim) at the latent rows of ``points``."""
+        diffs = np.asarray(points, dtype=float)[:, None, :] - self.centers
+        k = np.exp(-(self.eps ** 2) * np.einsum("bij,bij->bi", diffs, diffs))
+        dk = (-2.0 * self.eps ** 2) * (k[:, :, None] * diffs)
+        return self.coef.T @ dk
+
     def gradient(self, z: np.ndarray) -> np.ndarray:
         """Jacobian (output_dim, latent_dim) of the prediction."""
-        k, diffs = self._kvec(z)
-        dk = (-2.0 * self.eps ** 2) * (k[:, None] * diffs)
-        return self.coef.T @ dk
+        return self.gradient_rows(np.asarray(z, dtype=float)[None])[0]
 
     def uncertainty(self, z: np.ndarray) -> np.ndarray:
         """Per-output model uncertainty at a latent point.

@@ -11,6 +11,7 @@ from moso_kit.optimizer import (
     OptimizerConfig,
     SubproblemEvaluator,
     solve,
+    solve_batch,
 )
 from moso_kit.problem import (
     AcquisitionSpec,
@@ -476,27 +477,118 @@ def random_line_search_problems(rng):
         yield moop, weighted(*rng.dirichlet([1.0, 1.0])), [model]
 
 
-def test_block_line_search_accepts_the_sequential_trial(monkeypatch):
-    rng = np.random.default_rng(31)
-    block_search = optimizer._line_search
-    searches, rows = [], []
+def checked_line_search(monkeypatch, evaluators):
+    """Patch ``optimizer._line_search`` to check each search against the sequential one.
 
-    def checked(ev, z, f, g, d, lo, hi, armijo_c, first_block):
-        rows.clear()
-        accepted = block_search(ev, z, f, g, d, lo, hi, armijo_c, first_block)
-        assert sum(rows) <= optimizer.MAX_TRIALS
+    ``evaluators`` maps a region's ``(lo, hi)`` bytes to the slot's
+    evaluator.  Returns the list of sequential outcomes, one per search.
+    """
+    block_search = optimizer._line_search
+    searches = []
+
+    def checked(z, f, g, d, lo, hi, armijo_c, first_block):
+        search = block_search(z, f, g, d, lo, hi, armijo_c, first_block)
+        rows = 0
+        try:
+            trials = next(search)
+            while True:
+                rows += len(trials)
+                trials = search.send((yield trials))
+        except StopIteration as done:
+            accepted = done.value
+        assert rows <= optimizer.MAX_TRIALS
+        ev = evaluators[lo.tobytes(), hi.tobytes()]
         want = sequential_line_search(ev, z, f, g, d, lo, hi, armijo_c)
         assert (None if accepted is None else accepted[2] - 1) == want
         searches.append(want)
         return accepted
 
-    counted = SubproblemEvaluator.value_rows
-    monkeypatch.setattr(SubproblemEvaluator, "value_rows",
-                        lambda ev, points: rows.append(len(points)) or counted(ev, points))
     monkeypatch.setattr(optimizer, "_line_search", checked)
-    for moop, state, surrogates in random_line_search_problems(rng):
-        dim = len(moop.variables)
+    return searches
+
+
+def test_block_line_search_accepts_the_sequential_trial(monkeypatch):
+    rng = np.random.default_rng(31)
+    evaluators = {}
+    searches = checked_line_search(monkeypatch, evaluators)
+
+    def region_for(dim):
         region = TrustRegion(center=rng.uniform(0.2, 0.8, dim), radius=float(rng.uniform(0.1, 0.5)))
-        solve(moop, state, surrogates, rng.uniform(*region.bounds()), region, lam=1.0)
+        return region, rng.uniform(*region.bounds())
+
+    def register(moop, state, surrogates, region):
+        evaluators[tuple(b.tobytes() for b in region.bounds())] = \
+            SubproblemEvaluator(moop, state, surrogates, lam=1.0)
+
+    for moop, state, surrogates in random_line_search_problems(rng):
+        region, start = region_for(len(moop.variables))
+        register(moop, state, surrogates, region)
+        solve(moop, state, surrogates, start, region, lam=1.0)
     # Both outcomes and trials beyond the first block were exercised.
     assert None in searches and max(s for s in searches if s is not None) >= optimizer.TRIAL_BLOCK
+
+    # The same checks with the slots of one problem searching in lockstep.
+    # A surrogate prediction rounds by the rows it shares a block with, so
+    # a stacked trial near the noise floor may pass where its one-row value
+    # fails; test_solve_batch_matches_a_solve_per_slot covers surrogates.
+    single = len(searches)
+    by_terms = {}
+    for moop, state, surrogates in random_line_search_problems(rng):
+        if not surrogates:
+            by_terms.setdefault(moop.objectives, (moop, surrogates, []))[2].append(state)
+    for moop, surrogates, states in by_terms.values():
+        regions, starts = zip(*(region_for(len(moop.variables)) for _ in states))
+        for state, region in zip(states, regions):
+            register(moop, state, surrogates, region)
+        solve_batch(moop, states, surrogates, starts, regions, lam=1.0)
+    assert max(len(states) for _, _, states in by_terms.values()) > 1
+    assert len(searches) > single
+
+
+def lockstep_slots(rng):
+    """A problem and (state, start, region) slots of every scalarization kind.
+
+    Its terms include active and inactive constraints, gradless terms and
+    terms that read the design.
+    """
+    moop = make_moop(
+        n_vars=3,
+        sim_dim=3,
+        objectives=[identity_objective("f1", 0),
+                    ObjectiveSpec("f2", lambda x, s: s[1] ** 2 + 0.5 * x["x2"])],
+        constraints=[identity_constraint("on", 0, -10.0),
+                     sum_of_squares_constraint("off", [1], 100.0),
+                     ObjectiveSpec("fd_on", lambda x, s: s[2] * x["x1"] + 5.0),
+                     variable_objective("x3_cap", "x3", scale=0.5)],
+    )
+    _, model = active_constraint_landscape()
+    slots = []
+    for i in range(12):
+        kind = i % 4
+        if kind == 0:
+            state = weighted(*rng.dirichlet([1.0, 1.0]))
+        elif kind == 1:
+            state = ScalarizationState("random_weight", weights=rng.dirichlet([1.0, 1.0]),
+                                       kappa=float(rng.uniform(0.5, 3.0)))
+        else:
+            state = ScalarizationState("random_epsilon_constraint", target=kind - 2,
+                                       epsilons=rng.uniform(0.0, 1.0, 2))
+        region = TrustRegion(center=rng.uniform(0.1, 0.9, 3), radius=float(rng.uniform(0.05, 0.5)))
+        slots.append((state, rng.uniform(*region.bounds()), region))
+    return moop, [model], slots
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_solve_batch_matches_a_solve_per_slot(seed):
+    moop, surrogates, slots = lockstep_slots(np.random.default_rng(seed))
+    states, starts, regions = zip(*slots)
+    together = solve_batch(moop, states, surrogates, starts, regions, lam=1.7)
+    assert len(together) == len(slots)
+    for (state, start, region), got in zip(slots, together):
+        want = solve(moop, state, surrogates, start, region, lam=1.7)
+        assert got.iterations == want.iterations
+        assert (got.candidate is None) == (want.candidate is None)
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
+        assert got.start_value == pytest.approx(want.start_value, rel=1e-9, abs=1e-12)
+        if want.candidate is not None:
+            np.testing.assert_allclose(got.candidate, want.candidate, rtol=1e-9, atol=1e-12)

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from moso_kit import _blas, testbed
+from moso_kit import _blas, optimizer, testbed
 from moso_kit.embedding import embed
 from moso_kit.metrics import ParetoArchive
 from moso_kit.orchestrator import (
@@ -19,6 +20,8 @@ from moso_kit.orchestrator import (
     MoopSolver,
     journal_path,
 )
+from moso_kit.surrogate import RbfSurrogate
+from moso_kit.optimizer import OptimizerConfig
 from moso_kit.problem import (
     AcquisitionSpec,
     CustomEmbedder,
@@ -667,3 +670,77 @@ def test_missing_checkpoint_raises(tmp_path):
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
         MoopSolver(bowl_moop(), workers=0)
+
+
+def test_refit_slots_solve_alone_and_global_slots_in_lockstep(monkeypatch):
+    kept, refits, solved, batched = [], [], [], []
+    set_center, solve, solve_batch = (RbfSurrogate.set_center, optimizer.solve,
+                                      optimizer.solve_batch)
+
+    def spy_set_center(model, region, local=True):
+        local_model = set_center(model, region, local)
+        if local_model is model:
+            kept.append(model)
+        else:
+            refits.append(weakref.ref(local_model))
+        return local_model
+
+    in_solve = []
+
+    def spy_solve(moop, state, surrogates, *args):
+        # Only this slot's refit is alive while it is solved.
+        assert [r() for r in refits if r() is not None] == list(surrogates)
+        solved.append(len(refits))
+        in_solve.append(True)
+        try:
+            return solve(moop, state, surrogates, *args)
+        finally:
+            in_solve.pop()
+
+    def spy_solve_batch(moop, states, surrogates, *args):
+        if in_solve:  # ``solve`` is the one-slot case
+            return solve_batch(moop, states, surrogates, *args)
+        # Every slot since the last batch kept the one global model.
+        assert len(states) == len(kept) and all(m is surrogates[0] for m in kept)
+        kept.clear()
+        batched.append(len(states))
+        return solve_batch(moop, states, surrogates, *args)
+
+    monkeypatch.setattr(RbfSurrogate, "set_center", spy_set_center)
+    monkeypatch.setattr(optimizer, "solve", spy_solve)
+    monkeypatch.setattr(optimizer, "solve_batch", spy_solve_batch)
+    defn = testbed.dtlz2_moop(n=3, o=2, q0=6, batch=4, seed=2, local=True)
+    MoopSolver(defn).solve(6 + 4 * 4)
+    assert not kept
+    # Each refit slot was solved once, on its own, right after its refit.
+    assert solved == list(range(1, len(refits) + 1))
+    assert batched and len(refits) + sum(batched) == 16 and len(refits) > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", -3), ("max_iterations", 2.0), ("max_iterations", True),
+    ("armijo_c", float("nan")), ("armijo_c", 0.0), ("armijo_c", 1.0),
+    ("grad_tol", -1e-8), ("grad_tol", float("inf")),
+    ("decrease_factor", float("nan")), ("decrease_factor", -1.0),
+    ("fd_step", 0.0), ("fd_step", 0.5), ("fd_step", float("nan")), ("fd_step", "1e-6"),
+    ("kappa", float("nan")), ("kappa", float("-inf")),
+])
+def test_bad_optimizer_config_is_rejected_before_any_simulation(tmp_path, field, value):
+    calls = []
+    moop = bowl_moop(evaluator=lambda d: calls.append(d) or np.array([0.1, 0.2]))
+    config = OptimizerConfig(**{field: value})
+    with pytest.raises(ValidationError, match=field):
+        MoopSolver(moop, optimizer_config=config)
+    path = tmp_path / "state.json"
+    MoopSolver(moop, checkpoint_path=path).solve(8)
+    calls.clear()
+    with pytest.raises(ValidationError, match=field):
+        MoopSolver.checkpoint_load(path, moop, optimizer_config=config)
+    assert not calls
+
+
+def test_edge_optimizer_configs_are_accepted():
+    for config in (OptimizerConfig(max_iterations=0, grad_tol=0.0, decrease_factor=0.0),
+                   OptimizerConfig(armijo_c=0.5, fd_step=0.25, kappa=-2.0),
+                   OptimizerConfig(max_iterations=np.int64(5), kappa=np.float64(1.0))):
+        assert MoopSolver(bowl_moop(), optimizer_config=config).opt_config is config

@@ -13,6 +13,7 @@ from moso_kit.problem import (
     EvaluationDatabase,
     EvaluationError,
     MoopDefinition,
+    _capped,
     ObjectiveSpec,
     SimulationSpec,
     ValidationError,
@@ -159,6 +160,35 @@ def test_constraint_forms_are_capped_objective_forms():
             assert cdx == odx == {}
             assert np.array_equal(cds, ods)
             assert constraint.reads_design is objective.reads_design is False
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_row_forms_match_per_row_func(rows):
+    rng = np.random.default_rng(rows)
+    m = 198
+    idx = rng.choice(m, size=66, replace=False)
+    coeffs = rng.normal(0.0, 1.0, m)
+    cap, scale = float(rng.normal(0.0, 5.0)), float(rng.normal())
+    exact = [identity_objective("f", 7, scale=scale),
+             identity_constraint("g", 7, cap, scale=scale),
+             linear_objective("f", coeffs, const=0.25),
+             _capped(linear_objective("f", coeffs, const=0.25), cap)]
+    squares = [sum_of_squares_objective("f", idx), sum_of_squares_constraint("g", idx, cap)]
+    # A block at an odd offset inside a larger array, as the inner solve slices it.
+    preds = rng.normal(0.0, 3.0, (rows + 1, m))[1:]
+    for specs, maxulp in ((exact, 0), (squares, 8)):
+        for spec in specs:
+            got = spec.rows(preds)
+            want = np.array([spec.func({}, s) for s in preds])
+            assert got.shape == (rows,)
+            # A sum of squares rounds by the memory alignment of its row.
+            np.testing.assert_array_max_ulp(got, want, maxulp=maxulp)
+
+
+def test_terms_that_read_the_design_have_no_row_form():
+    assert variable_objective("t", "x").rows is None
+    assert ObjectiveSpec("custom", lambda x, s: 0.0).rows is None
+    assert _capped(ObjectiveSpec("custom", lambda x, s: 0.0), 1.0).rows is None
 
 
 def test_eval_constraints_flags_non_finite_with_index():
