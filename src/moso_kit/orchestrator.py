@@ -1,14 +1,18 @@
 """Batch iteration loop: search, fit, solve, evaluate, merge, repeat.
 
 Iteration 0 evaluates a space-filling design over the latent cube.
-Every later iteration refits the surrogates, refreshes each acquisition,
-solves its penalized subproblem inside a trust region around its chosen
-start record, swaps duplicates for model-improvement points, and sends
-the resulting batch to a worker pool.  A slot whose region refits a local
-model is solved at once, so at most one refit is alive; the slots that
-keep the global models are solved together by ``optimizer.solve_batch``,
-and the outcomes become batch points in slot order, so each slot's RNG
-stream is drawn as if the slots ran one after another.  The optimizer
+Every later iteration refits the surrogates, refreshes each acquisition
+and selects its start record, then solves each penalized subproblem
+inside a trust region around its start, swaps duplicates for
+model-improvement points, and sends the resulting batch to a worker
+pool.  Slots that share a start share one trust region and one
+localization (``set_center``), built at the first of them and released
+after the last.  A slot on a local refit is solved at once; the slots
+that keep the global models are solved together by
+``optimizer.solve_batch``, so a global kernel system is factored only
+when some slot predicts with it.  The outcomes become batch points in
+slot order, and each slot draws from its own RNG stream, so the draws
+are those of slots run one after another.  The optimizer
 config is checked when the solver is built, before anything runs.
 Results merge in batch order so runs are reproducible for any worker
 count, and the whole solver state (database, penalty, RNG streams)
@@ -165,19 +169,29 @@ class MoopSolver:
         batch_keys: set[bytes] = set()
         cube = TrustRegion(center=np.full(self.moop.latent_dim, 0.5), radius=0.5)
 
-        # A slot whose region refits a model is solved at once, so that at
-        # most one refit is alive; the slots that keep the global models
-        # are solved together afterwards.
-        slots, outcomes, shared = [], {}, []
-        for i, spec in enumerate(self.moop.acquisitions):
-            state = acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o,
-                                self.opt_config.kappa)
-            start = acq.select_start(state, self.database, self.penalty.value)
-            center = self.database.records[start].latent
-            region = trust_region(center, latents, self.moop.n)
+        # Every slot refreshes and picks its start first; each draws from
+        # its own RNG stream, so the order of the draws changes nothing.
+        states = [acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o,
+                              self.opt_config.kappa)
+                  for i, spec in enumerate(self.moop.acquisitions)]
+        starts = [acq.select_start(state, self.database, self.penalty.value)
+                  for state in states]
+        # One region and one localization per distinct start, kept until
+        # the last slot with that start.  A slot on a refit is solved at
+        # once; the slots that keep the global models are solved together
+        # afterwards.
+        last = {start: i for i, start in enumerate(starts)}
+        localized, slots, outcomes, shared = {}, [], {}, []
+        for i, (state, start) in enumerate(zip(states, starts)):
+            if start not in localized:
+                center = self.database.records[start].latent
+                region = trust_region(center, latents, self.moop.n)
+                localized[start] = center, region, [
+                    model.set_center(region, local=sim.surrogate.local)
+                    for sim, model in zip(self.moop.simulations, models)]
+            center, region, local_models = (localized.pop(start) if last[start] == i
+                                            else localized[start])
             slots.append((state, center, region))
-            local_models = [model.set_center(region, local=sim.surrogate.local)
-                            for sim, model in zip(self.moop.simulations, models)]
             if any(lm is not m for lm, m in zip(local_models, models)):
                 outcomes[i] = optimizer.solve(self.moop, state, local_models, center,
                                               region, self.penalty.value, self.opt_config)

@@ -3,12 +3,17 @@
 One model per simulation: shared kernel matrix, one coefficient column
 per output.  The kernel is phi(r) = exp(-(eps*r)**2) with the shape
 parameter tied to the data spacing, plus a small trace-scaled nugget so
-the system stays positive definite.  Models are immutable once fitted;
+the system stays positive definite.  ``fit`` checks and keeps the data;
+the kernel system (shape parameter, nugget, Cholesky factor,
+coefficients and the cached expansion terms below) is built at the
+model's first prediction, Jacobian or uncertainty and kept from then on,
+so a model that is only localized or asked for improvement points never
+factors its kernel.  A model does not change after its build;
 trust-region localization returns a new model fitted on nearby data.
 
 Predictions take a block of latent rows at once (``evaluate_rows``) and
 expand the kernel exponent as ``-eps**2 * (|z|**2 - 2 z.c + |c|**2)``
-with the center norms cached at fit: one matrix product, one ``exp``
+with the center norms cached at the build: one matrix product, one ``exp``
 and one product with the coefficients per block.  The exponent is
 clipped at zero, where cancellation near a center could make it
 positive.  ``evaluate`` is the one-row case.  The gradient and the
@@ -65,23 +70,39 @@ def trust_region(center: np.ndarray, points: np.ndarray, n_design: int) -> Trust
     return TrustRegion(center=center, radius=float(d[n_design]))
 
 
+#: The kernel system: what ``RbfSurrogate._build`` sets on a model from ``fit``.
+_SYSTEM = frozenset({"coef", "eps", "nugget", "_cho", "out_std", "_e2", "_scaled_t",
+                     "_scaled_sq"})
+
+
 class RbfSurrogate:
     """Interpolating Gaussian RBF model for one vector-valued simulation."""
 
     def __init__(self, centers, coef, eps, nugget, cho, out_std, values):
         self.centers = centers          # (N, latent_dim)
+        self.values = values            # (N, m), kept for refits
+        self._set_system(coef, eps, nugget, cho, out_std)
+
+    def _set_system(self, coef, eps, nugget, cho, out_std):
         self.coef = coef                # (N, m)
         self.eps = eps
         self.nugget = nugget
         self._cho = cho
         self.out_std = out_std          # (m,)
-        self.values = values            # (N, m), kept for refits
         # The kernel exponent -eps**2 * |z - c|**2 is expanded as
         # z . (2 eps**2 c) - eps**2 |c|**2 - eps**2 |z|**2.
         e2 = eps ** 2
         self._e2 = e2
-        self._scaled_t = np.ascontiguousarray((2.0 * e2) * centers.T)   # (l, N)
-        self._scaled_sq = e2 * np.einsum("ij,ij->i", centers, centers)  # (N,)
+        self._scaled_t = np.ascontiguousarray((2.0 * e2) * self.centers.T)        # (l, N)
+        self._scaled_sq = e2 * np.einsum("ij,ij->i", self.centers, self.centers)  # (N,)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: a model from
+        # ``fit`` builds its kernel system at the first read of any part.
+        if name not in _SYSTEM:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build()
+        return self.__dict__[name]
 
     @property
     def n_points(self) -> int:
@@ -89,19 +110,14 @@ class RbfSurrogate:
 
     @property
     def output_dim(self) -> int:
-        return self.coef.shape[1]
+        return self.values.shape[1]
 
     @classmethod
     def fit(cls, points, values, nugget_scale: float = NUGGET_SCALE) -> "RbfSurrogate":
-        """Fit to latent points (N, l) and outputs (N, m).
+        """A model of latent points (N, l) and outputs (N, m).
 
-        The shape parameter is 1/(sqrt(2) * mean pairwise distance);
-        the nugget is ``nugget_scale * trace(K)/N``.  The pairwise mean
-        tracks the overall extent of the data, so the kernel keeps a
-        useful lengthscale even after an optimizer has clustered many
-        evaluations into small neighborhoods (a nearest-neighbor
-        statistic collapses there, degrading the model into a lookup
-        table of the data with spurious zeros between clusters).
+        The data is checked and kept here; the kernel system is built at
+        the model's first prediction (``_build``) and kept from then on.
         """
         pts = np.asarray(points, dtype=float)
         val = np.asarray(values, dtype=float)
@@ -113,7 +129,22 @@ class RbfSurrogate:
             raise SurrogateError("cannot fit to an empty data set")
         if len({p.tobytes() for p in pts}) != len(pts):
             raise SurrogateError("duplicate centers")
+        model = cls.__new__(cls)
+        model.centers, model.values, model._nugget_scale = pts, val, nugget_scale
+        return model
 
+    def _build(self) -> None:
+        """Solve the kernel system of the data ``fit`` kept.
+
+        The shape parameter is 1/(sqrt(2) * mean pairwise distance);
+        the nugget is ``nugget_scale * trace(K)/N``.  The pairwise mean
+        tracks the overall extent of the data, so the kernel keeps a
+        useful lengthscale even after an optimizer has clustered many
+        evaluations into small neighborhoods (a nearest-neighbor
+        statistic collapses there, degrading the model into a lookup
+        table of the data with spurious zeros between clusters).
+        """
+        pts, val = self.centers, self.values
         if len(pts) == 1:
             eps = 1.0
             dist2 = np.zeros((1, 1))
@@ -123,7 +154,7 @@ class RbfSurrogate:
             eps = 1.0 / (np.sqrt(2.0) * mean_pair) if mean_pair > 0 else 1.0
             dist2 = d ** 2
         kernel = np.exp(-(eps ** 2) * dist2)
-        nugget = nugget_scale * np.trace(kernel) / len(pts)
+        nugget = self._nugget_scale * np.trace(kernel) / len(pts)
         system = kernel + nugget * np.eye(len(pts))
         try:
             with one_thread():
@@ -133,7 +164,7 @@ class RbfSurrogate:
             raise SurrogateError(
                 f"singular kernel system (cond ~ {np.linalg.cond(system):.3g})"
             ) from err
-        return cls(pts, coef, eps, nugget, cho, val.std(axis=0), val)
+        self._set_system(coef, eps, nugget, cho, val.std(axis=0))
 
     def _kvec(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diffs = np.asarray(z, dtype=float) - self.centers

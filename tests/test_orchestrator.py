@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moso_kit import _blas, optimizer, testbed
+from moso_kit import _blas, acquisition, optimizer, testbed
 from moso_kit.embedding import embed
 from moso_kit.metrics import ParetoArchive
 from moso_kit.orchestrator import (
@@ -672,49 +672,163 @@ def test_workers_must_be_positive():
         MoopSolver(bowl_moop(), workers=0)
 
 
+def local_dtlz2():
+    """A local-refit DTLZ2 problem whose 16 slots include global slots, two
+    of them on one start, and a refit kept across another slot's solve."""
+    return testbed.dtlz2_moop(n=3, o=2, q0=6, batch=4, seed=5, local=True)
+
+
 def test_refit_slots_solve_alone_and_global_slots_in_lockstep(monkeypatch):
     kept, refits, solved, batched = [], [], [], []
+    states, starts, kept_across, iteration = [], [], [], [0]
+    iterate, refresh, select_start = (MoopSolver.iterate, acquisition.refresh,
+                                      acquisition.select_start)
     set_center, solve, solve_batch = (RbfSurrogate.set_center, optimizer.solve,
                                       optimizer.solve_batch)
+
+    def spy_iterate(solver, k):
+        states.clear()
+        starts.clear()
+        iteration[0] = k
+        return iterate(solver, k)
+
+    def spy_refresh(*args):
+        states.append(refresh(*args))
+        return states[-1]
+
+    def spy_select_start(state, database, lam):
+        start = select_start(state, database, lam)
+        starts.append(latent_key(database.records[start].latent))
+        return start
 
     def spy_set_center(model, region, local=True):
         local_model = set_center(model, region, local)
         if local_model is model:
             kept.append(model)
         else:
-            refits.append(weakref.ref(local_model))
+            refits.append((weakref.ref(local_model), latent_key(region.center)))
         return local_model
 
     in_solve = []
 
     def spy_solve(moop, state, surrogates, *args):
-        # Only this slot's refit is alive while it is solved.
-        assert [r() for r in refits if r() is not None] == list(surrogates)
-        solved.append(len(refits))
+        slot = next(i for i, s in enumerate(states) if s is state)
+        assert (iteration[0], slot) not in solved
+        # The refits alive are this slot's, plus those kept for a later
+        # slot with the same start; every other refit has been released.
+        for ref, start in refits:
+            model = ref()
+            if model is not None and model not in surrogates:
+                assert start in starts[slot + 1:]
+                kept_across.append(slot)
+        solved.append((iteration[0], slot))
         in_solve.append(True)
         try:
             return solve(moop, state, surrogates, *args)
         finally:
             in_solve.pop()
 
-    def spy_solve_batch(moop, states, surrogates, *args):
+    def spy_solve_batch(moop, batch_states, surrogates, *args):
         if in_solve:  # ``solve`` is the one-slot case
-            return solve_batch(moop, states, surrogates, *args)
-        # Every slot since the last batch kept the one global model.
-        assert len(states) == len(kept) and all(m is surrogates[0] for m in kept)
+            return solve_batch(moop, batch_states, surrogates, *args)
+        # Every start of the batch kept the one global model, once.
+        slots = [next(i for i, s in enumerate(states) if s is st) for st in batch_states]
+        assert len(kept) == len({starts[i] for i in slots})
+        assert all(m is surrogates[0] for m in kept)
         kept.clear()
-        batched.append(len(states))
-        return solve_batch(moop, states, surrogates, *args)
+        batched.append(len(batch_states))
+        return solve_batch(moop, batch_states, surrogates, *args)
 
+    monkeypatch.setattr(MoopSolver, "iterate", spy_iterate)
+    monkeypatch.setattr(acquisition, "refresh", spy_refresh)
+    monkeypatch.setattr(acquisition, "select_start", spy_select_start)
     monkeypatch.setattr(RbfSurrogate, "set_center", spy_set_center)
     monkeypatch.setattr(optimizer, "solve", spy_solve)
     monkeypatch.setattr(optimizer, "solve_batch", spy_solve_batch)
-    defn = testbed.dtlz2_moop(n=3, o=2, q0=6, batch=4, seed=2, local=True)
-    MoopSolver(defn).solve(6 + 4 * 4)
-    assert not kept
-    # Each refit slot was solved once, on its own, right after its refit.
-    assert solved == list(range(1, len(refits) + 1))
-    assert batched and len(refits) + sum(batched) == 16 and len(refits) > 0
+    MoopSolver(local_dtlz2()).solve(6 + 4 * 4)
+    assert not kept and kept_across
+    # Each refit slot was solved once, on its own; the rest were batched.
+    assert batched and len(solved) + sum(batched) == 16 and len(refits) > 0
+    assert len(refits) < len(solved)  # a start shared by refit slots is refitted once
+
+
+def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
+    built, globals_, centers, refitted, starts, all_refit = [], [], [], [], [], []
+    iterate, select_start = MoopSolver.iterate, acquisition.select_start
+    build, set_center = RbfSurrogate._build, RbfSurrogate.set_center
+
+    def spy_iterate(solver, k):
+        for log in (built, globals_, centers, refitted, starts):
+            log.clear()
+        batch = iterate(solver, k)
+        if k == 0:
+            return batch
+        # One region and one localization per distinct start.
+        assert centers == list(dict.fromkeys(starts))
+        refit_only = all(refitted)
+        if refit_only:
+            all_refit.append(k)
+        # The global system is built only when a slot predicts with it.
+        assert sum(m is globals_[0] for m in built) == (0 if refit_only else 1)
+        return batch
+
+    def spy_select_start(state, database, lam):
+        start = select_start(state, database, lam)
+        starts.append(latent_key(database.records[start].latent))
+        return start
+
+    def spy_build(model):
+        built.append(model)
+        return build(model)
+
+    def spy_set_center(model, region, local=True):
+        globals_.append(model)
+        local_model = set_center(model, region, local)
+        centers.append(latent_key(region.center))
+        refitted.append(local_model is not model)
+        return local_model
+
+    monkeypatch.setattr(MoopSolver, "iterate", spy_iterate)
+    monkeypatch.setattr(acquisition, "select_start", spy_select_start)
+    monkeypatch.setattr(RbfSurrogate, "_build", spy_build)
+    monkeypatch.setattr(RbfSurrogate, "set_center", spy_set_center)
+    deferred = MoopSolver(local_dtlz2()).solve(6 + 4 * 6).database
+    monkeypatch.undo()
+    assert all_refit
+
+    # The same run with every model built at its fit and every slot
+    # localized on its own start.
+    class Unshared(int):
+        """A record index equal only to itself, so no two slots share a start."""
+        __hash__ = object.__hash__
+
+        def __eq__(self, other):
+            return self is other
+
+    fit = RbfSurrogate.fit
+
+    def eager_fit(cls, *args, **kwargs):
+        model = fit(*args, **kwargs)
+        model._build()
+        return model
+
+    def counted_set_center(model, region, local=True):
+        centers.append(latent_key(region.center))
+        return set_center(model, region, local)
+
+    monkeypatch.setattr(RbfSurrogate, "fit", classmethod(eager_fit))
+    monkeypatch.setattr(acquisition, "select_start",
+                        lambda *args: Unshared(select_start(*args)))
+    monkeypatch.setattr(RbfSurrogate, "set_center", counted_set_center)
+    centers.clear()
+    eager = MoopSolver(local_dtlz2()).solve(6 + 4 * 6).database
+    assert len(centers) == 4 * 6  # one localization per slot
+    assert len(eager) == len(deferred)
+    for a, b in zip(eager.records, deferred.records):
+        assert a.design == b.design
+        assert a.iteration == b.iteration
+        for x, y in zip(a.sim_outputs, b.sim_outputs):
+            assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from moso_kit import _blas
 from moso_kit.problem import latent_key
 from moso_kit.surrogate import (
     IMPROVE_TRIES,
+    NUGGET_SCALE,
     RbfSurrogate,
     SurrogateError,
     TrustRegion,
@@ -110,6 +113,65 @@ def test_duplicate_centers_rejected():
     pts = np.array([[0.1, 0.1], [0.1, 0.1]])
     with pytest.raises(SurrogateError):
         RbfSurrogate.fit(pts, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("points, values, message", [
+    ([[0.1, 0.1], [0.2, 0.1]], np.zeros((3, 1)), "disagree on length"),
+    (np.empty((0, 2)), np.empty((0, 1)), "empty data set"),
+])
+def test_fit_rejects_bad_data_at_once(points, values, message):
+    with pytest.raises(SurrogateError, match=message):
+        RbfSurrogate.fit(np.asarray(points), values)
+
+
+def eager_model(pts, vals):
+    """The kernel system of ``fit``, solved at once and handed to the constructor."""
+    d = cdist(pts, pts)
+    eps = 1.0 / (np.sqrt(2.0) * (d.sum() / (len(pts) * (len(pts) - 1))))
+    kernel = np.exp(-(eps ** 2) * d ** 2)
+    nugget = NUGGET_SCALE * np.trace(kernel) / len(pts)
+    with _blas.one_thread():
+        cho = cho_factor(kernel + nugget * np.eye(len(pts)), lower=True)
+        coef = cho_solve(cho, vals)
+    return RbfSurrogate(pts, coef, eps, nugget, cho, vals.std(axis=0), vals)
+
+
+def predictions(rows):
+    """Every prediction kind at ``rows``, by name."""
+    return {
+        "evaluate_rows": lambda m: m.evaluate_rows(rows),
+        "gradient_rows": lambda m: m.gradient_rows(rows),
+        "uncertainty": lambda m: np.array([m.uncertainty(z) for z in rows]),
+        "uncertainty_gradient": lambda m: np.array([m.uncertainty_gradient(z) for z in rows]),
+    }
+
+
+@pytest.mark.parametrize("first", list(predictions(None)))
+def test_a_fitted_model_predicts_bitwise_as_one_built_at_once(first):
+    rng = np.random.default_rng(21)
+    pts, vals, model = fit_random(rng, n=40)
+    assert "coef" not in vars(model)  # not built until the first prediction
+    eager = eager_model(pts, vals)
+    calls = predictions(rng.random((6, 4)))
+    np.testing.assert_array_equal(calls[first](model), calls[first](eager))
+    for call in calls.values():
+        np.testing.assert_array_equal(call(model), call(eager))
+    assert model.eps == eager.eps and model.nugget == eager.nugget
+
+
+def test_a_singular_system_raises_at_the_first_prediction():
+    # Two centers 1e-9 apart share a kernel row to the last bit, and no
+    # nugget separates them.
+    pts = np.array([[0.0, 0.0], [1e-9, 0.0], [1.0, 0.0]])
+    model = RbfSurrogate.fit(pts, np.ones((3, 1)), nugget_scale=0.0)
+    # Localizing and improvement draws read only the data.
+    region = TrustRegion(center=pts[2], radius=0.6)
+    assert model.set_center(region).n_points == 3
+    assert model.improve(region, pts, np.random.default_rng(22), unused(pts)) is not None
+    assert "coef" not in vars(model)
+    for predict in predictions(pts[:1]).values():
+        with pytest.raises(SurrogateError, match="singular kernel system"):
+            predict(model)
 
 
 def test_one_blas_thread_restores_the_thread_count():
