@@ -78,41 +78,70 @@ def scalarize(state: ScalarizationState, f: np.ndarray, sigma: np.ndarray | None
     non-target objectives.
     """
     f = np.asarray(f, dtype=float)
-    if state.weights is not None:
-        value = float(state.weights @ f)
-        if state.kappa != 0.0 and sigma is not None:
-            value -= state.kappa * float(state.weights @ sigma)
-        return value
-    over = np.maximum(f - state.epsilons, 0.0)
-    over[state.target] = 0.0
-    return float(f[state.target] + RHO * over.sum())
+    value = float(scalarize_rows(state, f[None])[0])
+    if state.weights is not None and state.kappa != 0.0 and sigma is not None:
+        value -= state.kappa * float(state.weights @ sigma)
+    return value
 
 
 def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
     """d(scalarize)/df at ``f`` (subgradient at the penalty kinks)."""
-    if state.weights is not None:
-        return state.weights.copy()
-    g = np.zeros(len(f))
-    g[state.target] = 1.0
-    active = f > state.epsilons
-    active[state.target] = False
-    g[active] += RHO
-    return g
+    f = np.asarray(f, dtype=float)
+    return scalarize_stack_gradient(stack_states([state], len(f)), np.zeros(1, dtype=np.intp),
+                                    f[None])[0]
 
 
 def scalarize_rows(state: ScalarizationState, objs: np.ndarray) -> np.ndarray:
-    """``scalarize`` of each row of ``objs`` (uncertainty zero), bitwise.
+    """``scalarize`` of each row of ``objs`` (uncertainty zero): one state's ``scalarize_stack``."""
+    objs = np.asarray(objs, dtype=float)
+    return scalarize_stack(stack_states([state], objs.shape[1]),
+                           np.zeros(len(objs), dtype=np.intp), objs)
 
-    Both kinds run as one array pass.  The weight kinds take ``vecdot``,
-    the same dot product per row as ``w @ f`` (a ``(B, o) @ (o,)``
-    product rounds differently); the epsilon-constraint kind's row sums
-    match the per-vector sums exactly.
+
+@dataclass(frozen=True)
+class ScalarizationStack:
+    """States as one array, so rows of different slots scalarize in one pass.
+
+    Every kind is a linear form plus an epsilon penalty,
+    ``w @ f + RHO * p @ max(f - eps, 0)``: the weight kinds have ``p = 0``;
+    the epsilon-constraint kind has for ``w`` the unit vector of its
+    target and for ``p`` ones on the other objectives.  ``table[i]``
+    holds the rows ``(w, eps, p)`` of ``states[i]``.
     """
-    if state.weights is not None:
-        return np.vecdot(objs, state.weights)
-    over = np.maximum(objs - state.epsilons, 0.0)
-    over[:, state.target] = 0.0
-    return objs[:, state.target] + RHO * over.sum(axis=1)
+
+    table: np.ndarray
+
+
+def stack_states(states, n_objectives: int) -> ScalarizationStack:
+    """The ``ScalarizationStack`` of ``states``, in order."""
+    table = np.zeros((len(states), 3, n_objectives))
+    for row, state in zip(table, states):
+        if state.weights is not None:
+            row[0] = state.weights
+        else:
+            row[0, state.target] = 1.0
+            row[1] = state.epsilons
+            row[2] = 1.0
+            row[2, state.target] = 0.0
+    return ScalarizationStack(table)
+
+
+def scalarize_stack(stack: ScalarizationStack, slots: np.ndarray, objs: np.ndarray) -> np.ndarray:
+    """``scalarize`` (uncertainty zero) of each row ``objs[r]`` under state ``slots[r]``.
+
+    One array pass over all rows.  ``vecdot`` takes the same dot product
+    per row as ``w @ f`` does for one vector (a ``(B, o) @ (o,)`` product
+    rounds differently).
+    """
+    w, eps, p = stack.table[slots].transpose(1, 0, 2)
+    return np.vecdot(objs, w) + RHO * np.vecdot(np.maximum(objs - eps, 0.0), p)
+
+
+def scalarize_stack_gradient(stack: ScalarizationStack, slots: np.ndarray,
+                             objs: np.ndarray) -> np.ndarray:
+    """``scalarize_gradient`` at each row ``objs[r]`` under state ``slots[r]``: (B, o)."""
+    w, eps, p = stack.table[slots].transpose(1, 0, 2)
+    return w + RHO * ((objs > eps) * p)
 
 
 def select_start(state: ScalarizationState, database: EvaluationDatabase,

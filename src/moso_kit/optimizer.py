@@ -7,37 +7,42 @@ cube,
 
 where S_hat stacks the per-simulation surrogate predictions and the
 total constraint violation is added to every objective.  Gradients flow
-through the surrogate Jacobians and the objective/constraint gradients,
-with a forward finite-difference fallback on the latent cube for
-anything that does not supply one.  The solve itself is a projected
-BFGS with Armijo backtracking.  It stops once an accepted step lowers
-the value by no more than ``decrease_factor`` relative to the new value,
-the relative-reduction test of L-BFGS-B: near the kink of an
+through the surrogates and the objective/constraint gradients, with a
+forward finite-difference fallback on the latent cube for anything that
+does not supply one.  The solve itself is a projected BFGS with Armijo
+backtracking.  It stops once an accepted step lowers the value by no
+more than ``decrease_factor`` relative to the new value, the
+relative-reduction test of L-BFGS-B: near the kink of an
 epsilon-constraint scalarization the steps otherwise keep shrinking and
 each costs up to 40 line-search trials.
 
-The backtracking trials ``alpha = 2**-j`` are evaluated in blocks: one
-surrogate prediction for the whole block, each term's row form (or its
-``func`` per row), then the penalty and the scalarization over the rows
-as arrays.  The first block of an iteration holds as many trials as the
-previous iteration needed, later blocks ``TRIAL_BLOCK``.  The first
-trial in sequence order that passes is accepted, so blocks change which
-points are evaluated, not which one is taken.
+``solve_batch`` solves every slot of an iteration at once, with array
+state: the slots' points, values, gradients, inverse Hessians and boxes
+sit in stacked arrays, and a slot that finishes leaves them.  The
+backtracking trials ``alpha = 2**-j`` are evaluated in blocks, as
+sub-rounds over the slots still searching (``_line_search``).  A
+slot's first block holds as many trials as its previous iteration
+needed, later blocks ``TRIAL_BLOCK``, and the first trial in sequence
+order that passes is accepted, so blocks change which points are
+evaluated, not which one is taken.
 
-Each slot's BFGS runs as a generator (``_bfgs``) that yields its
-requests: a block of trial rows, or one point that needs the value and
-the gradient.  ``solve_batch`` drives the slots that share one set of
-surrogates in lockstep and answers each round's requests together
-(``_answer``): one prediction of the stacked rows, one Jacobian call for
-the stacked gradient points, one call of each term's row form and one
-penalty, then each slot's scalarization of its own rows.  Term gradients
-and the chain rule stay per slot.  ``solve`` is the one-slot case, and
-``value``, ``value_rows`` and ``value_and_grad`` answer one request of
-one slot, so there is one BFGS, one line search and one evaluation path.
-A stacked row rounds by the rows it shares a matrix product with, so
-lockstep changes the last bits of the values, not the logic.
-``check_config`` rejects an ``OptimizerConfig`` that would make every
-inner solve degenerate.
+Each slot has its own scalarization and its own models: a local refit,
+or the global ones.  A sub-round predicts its rows with one
+``evaluate_rows`` per model, calls each term's row form (or its
+``func`` per row) once, adds the penalty, and scalarizes every row in
+one array pass over the stacked states
+(``acquisition.scalarize_stack``).  Gradients are vector-Jacobian
+products: the scalarization's weight on each term times the term's
+output gradient gives one weight row per slot, and one
+``RbfSurrogate.vjp_rows`` per model contracts them, so no Jacobian is
+formed.  Term ``grad``s, the design chain rule, finite differences and
+the ``kappa`` bonus run per slot.  ``solve`` is the one-slot case, and
+``value``, ``value_rows`` and ``value_and_grad`` evaluate one slot
+through the same code, so there is one BFGS, one line search and one
+evaluation path.  A stacked row rounds by the rows it shares a matrix
+product with, so stacking changes the last bits of the values, not the
+logic.  ``check_config`` rejects an ``OptimizerConfig`` that would
+make every inner solve degenerate.
 """
 
 from __future__ import annotations
@@ -47,7 +52,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding
-from .acquisition import ScalarizationState, scalarize, scalarize_gradient, scalarize_rows
+from .acquisition import (
+    ScalarizationState,
+    scalarize,
+    scalarize_stack,
+    scalarize_stack_gradient,
+    stack_states,
+)
 from .problem import Moop, ValidationError
 from .surrogate import TrustRegion
 
@@ -106,7 +117,7 @@ class SolveOutcome:
 
 
 class SubproblemEvaluator:
-    """Penalized scalarized surrogate landscape over the latent box."""
+    """Penalized scalarized surrogate landscape over the latent box, for one slot."""
 
     def __init__(self, moop: Moop, state: ScalarizationState, surrogates,
                  lam: float, config: OptimizerConfig = OptimizerConfig()):
@@ -125,24 +136,11 @@ class SubproblemEvaluator:
             if self.plan.variables[vi].kind == "continuous"
         ]
         self.terms = moop.objectives + moop.constraints
-        # Extraction runs at every trial point, so skip it when no term
-        # declares that it reads the design.
-        self._reads_design = any(spec.reads_design for spec in self.terms)
 
     def _predict(self, z):
         if not self.surrogates:
             return np.empty(0)
         return np.concatenate([s.evaluate(z) for s in self.surrogates])
-
-    def _predict_rows(self, points):
-        if not self.surrogates:
-            return np.empty((len(points), 0))
-        return np.hstack([s.evaluate_rows(points) for s in self.surrogates])
-
-    def _jacobian_rows(self, points):
-        if not self.surrogates:
-            return np.empty((len(points), 0, points.shape[1]))
-        return np.concatenate([s.gradient_rows(points) for s in self.surrogates], axis=1)
 
     def _smooth_design(self, z, base):
         """Extraction with only the continuous coordinates live.
@@ -155,6 +153,148 @@ class SubproblemEvaluator:
         for name, offset, span, lower in self._chain:
             x[name] = float(lower + np.clip(z[offset], 0.0, 1.0) * span)
         return x
+
+    def _bonus(self):
+        return self.state.kappa != 0.0 and self.state.weights is not None
+
+    def value_rows(self, points: np.ndarray) -> np.ndarray:
+        """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
+        points = np.asarray(points, dtype=float)
+        return _Stack([self]).values(np.zeros(len(points), dtype=np.intp), points)
+
+    def value(self, z: np.ndarray) -> float:
+        return float(self.value_rows(np.asarray(z, dtype=float)[None])[0])
+
+    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        values, grads = _Stack([self]).values_and_grads(np.zeros(1, dtype=np.intp),
+                                                        np.asarray(z, dtype=float)[None])
+        return float(values[0]), grads[0]
+
+    def _uncertainty(self, z):
+        if not self.surrogates:
+            return np.empty(0)
+        return np.concatenate([s.uncertainty(z) for s in self.surrogates])
+
+    def _sigma(self, u):
+        # Uncertainty enters the scalarization per objective; objectives
+        # see the sim-output uncertainties only through their own reads,
+        # so expose a conservative uniform proxy: the max output spread.
+        return np.full(self.moop.o, float(u.max()) if u.size else 0.0)
+
+    def _sigma_jacobian(self, z, u):
+        if u.size == 0:
+            return np.zeros((self.moop.o, len(z)))
+        grads = np.vstack([s.uncertainty_gradient(z) for s in self.surrogates])
+        row = grads[int(np.argmax(u))]
+        return np.tile(row, (self.moop.o, 1))
+
+    def _term_gradient(self, z, x, s, w, ds, dz):
+        """Fill in the gradients of the terms at ``z`` that ``w`` weighs.
+
+        ``x`` is the design at ``z`` and ``s`` the prediction; ``w`` is
+        each term's weight, and a term of weight zero is skipped.  Row j
+        of ``ds`` (terms, m) receives term j's output partials, for the
+        surrogates' vector-Jacobian products; ``dz`` (l,) accumulates the
+        weighted design partials through the chain rule, plus the finite
+        differences of the gradless terms.
+        """
+        fd_rows = []
+        for j, (spec, weight) in enumerate(zip(self.terms, w)):
+            if weight == 0.0:
+                continue
+            if spec.grad is None:
+                fd_rows.append(j)
+                continue
+            dx, ds[j] = spec.grad(x, s)
+            if dx:
+                for name, offset, span, lower in self._chain:
+                    partial = dx.get(name)
+                    if partial:
+                        dz[offset] += weight * partial * span
+        if fd_rows:
+            dz += np.asarray(w)[fd_rows] @ self._fd_rows(z, x, fd_rows)
+
+    def _fd_rows(self, z, x, rows):
+        """Forward differences (len(rows), l) on the latent cube for the gradless ``rows``.
+
+        The base values come from a one-point prediction at ``z`` like the
+        stepped ones, not from the stacked block: a row's rounding depends
+        on the rows it shares a block with, and a difference over ``h``
+        magnifies it.
+        """
+        h = self.config.fd_step
+        s = self._predict(z)
+        base = [self.terms[j].func(x, s) for j in rows]
+        jac = np.empty((len(rows), len(z)))
+        for i in range(len(z)):
+            step = h if z[i] + h <= 1.0 else -h
+            z2 = z.copy()
+            z2[i] += step
+            x2 = self._smooth_design(z2, x)
+            s2 = self._predict(z2)
+            for r, j in enumerate(rows):
+                jac[r, i] = (self.terms[j].func(x2, s2) - base[r]) / step
+        return jac
+
+
+class _Stack:
+    """The slots of one batch, evaluated over latent rows tagged by slot.
+
+    ``evs`` holds one evaluator per slot.  They share the problem and
+    ``lam``; each has its own scalarization and models, and slots that
+    share a model object have their rows predicted together.
+    """
+
+    def __init__(self, evs):
+        self.evs = evs
+        moop = evs[0].moop
+        self.moop, self.lam = moop, evs[0].lam
+        self.plan, self.terms = moop.plan, evs[0].terms
+        # Extraction runs at every trial point, so skip it when no term
+        # declares that it reads the design.
+        self._reads_design = any(spec.reads_design for spec in self.terms)
+        self.scalarization = stack_states([ev.state for ev in evs], moop.o)
+        self._bonus = [i for i, ev in enumerate(evs) if ev._bonus()]
+        # Per model position: its output columns, the distinct models
+        # there, and the index of each slot's model among them.
+        self._models, at = [], 0
+        for k, first in enumerate(evs[0].surrogates):
+            models, label, index = [], np.empty(len(evs), dtype=np.intp), {}
+            for i, ev in enumerate(evs):
+                label[i] = index.setdefault(id(ev.surrogates[k]), len(index))
+                if label[i] == len(models):
+                    models.append(ev.surrogates[k])
+            self._models.append((slice(at, at + first.output_dim), models, label))
+            at += first.output_dim
+        self._outputs = at
+        # The one model every row is predicted with, if there is one.
+        self._single = (self._models[0][1][0]
+                        if len(self._models) == 1 and len(self._models[0][1]) == 1 else None)
+
+    def _groups(self, slots):
+        """``(columns, model, rows)`` for each model that some row of ``slots`` uses."""
+        for cols, models, label in self._models:
+            at = label[slots]
+            for g in np.flatnonzero(np.bincount(at, minlength=len(models))):
+                yield cols, models[g], at == g
+
+    def _predict(self, slots, points):
+        """Each row's prediction (B, m) by its slot's models, one block per model."""
+        if self._single is not None:
+            return self._single.evaluate_rows(points)
+        preds = np.empty((len(points), self._outputs))
+        for cols, model, rows in self._groups(slots):
+            preds[rows, cols] = model.evaluate_rows(points[rows])
+        return preds
+
+    def _vjp(self, slots, points, weights):
+        """Sum over the models of each row's ``weights @ Jacobian`` (B, l)."""
+        if self._single is not None:
+            return self._single.vjp_rows(points, weights)
+        grad = np.zeros(points.shape)
+        for cols, model, rows in self._groups(slots):
+            grad[rows] += model.vjp_rows(points[rows], weights[rows, cols])
+        return grad
 
     def _terms(self, points, preds):
         """Designs and term values (B, terms) at the rows of ``points``.
@@ -181,236 +321,163 @@ class SubproblemEvaluator:
             return t[:, :o]
         return t[:, :o] + self.lam * np.maximum(t[:, o:], 0.0).sum(axis=1, keepdims=True)
 
-    def _bonus(self):
-        return self.state.kappa != 0.0 and self.state.weights is not None
+    def _bonus_rows(self, slots):
+        """(row, evaluator) for each row of a slot with an uncertainty bonus."""
+        return [(r, self.evs[i]) for i in self._bonus for r in np.flatnonzero(slots == i)]
 
-    def _scalarize(self, points, f):
-        """This slot's scalarization of the penalized objective rows ``f``."""
-        if self._bonus():
-            return np.array([scalarize(self.state, fv, self._sigma(self._uncertainty(z)))
-                             for z, fv in zip(points, f)])
-        return scalarize_rows(self.state, f)
+    def values(self, slots, points):
+        """The value at each latent row ``points[r]`` of slot ``slots[r]``."""
+        preds = self._predict(slots, points)
+        f = self._penalize(self._terms(points, preds)[1])
+        values = scalarize_stack(self.scalarization, slots, f)
+        for r, ev in self._bonus_rows(slots):
+            values[r] = scalarize(ev.state, f[r], ev._sigma(ev._uncertainty(points[r])))
+        return values
 
-    def value_rows(self, points: np.ndarray) -> np.ndarray:
-        """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
-        return _answer([self], [np.asarray(points, dtype=float)])[0]
-
-    def value(self, z: np.ndarray) -> float:
-        return float(self.value_rows(np.asarray(z, dtype=float)[None])[0])
-
-    def _uncertainty(self, z):
-        if not self.surrogates:
-            return np.empty(0)
-        return np.concatenate([s.uncertainty(z) for s in self.surrogates])
-
-    def _sigma(self, u):
-        # Uncertainty enters the scalarization per objective; objectives
-        # see the sim-output uncertainties only through their own reads,
-        # so expose a conservative uniform proxy: the max output spread.
-        return np.full(self.moop.o, float(u.max()) if u.size else 0.0)
-
-    def _sigma_jacobian(self, z, u):
-        if u.size == 0:
-            return np.zeros((self.moop.o, len(z)))
-        grads = np.vstack([s.uncertainty_gradient(z) for s in self.surrogates])
-        row = grads[int(np.argmax(u))]
-        return np.tile(row, (self.moop.o, 1))
-
-    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        return _answer([self], [np.asarray(z, dtype=float)])[0]
-
-    def _value_and_grad(self, z, x, s, t, f_pen, js):
-        """Value and gradient at ``z``.
-
-        ``x`` is the design at ``z``, ``s`` the prediction, ``t`` the term
-        values, ``f_pen`` the penalized objectives (1, o) and ``js`` the
-        prediction Jacobian, all as ``_answer`` computed them.
-        """
-        # One row per term; an inactive constraint keeps a zero row.
+    def values_and_grads(self, slots, points):
+        """Values (B,) and gradients (B, l) at the rows ``points[r]`` of slots ``slots[r]``."""
+        preds = self._predict(slots, points)
+        designs, t = self._terms(points, preds)
+        f = self._penalize(t)
+        values = scalarize_stack(self.scalarization, slots, f)
+        # The value's weight on each term: its objective's, and on an
+        # active constraint lam times their sum, as the violation enters
+        # every objective.
+        w = np.zeros(t.shape)
         o = self.moop.o
-        jac = np.zeros((len(self.terms), len(z)))
-        fd_rows = []
-        for j, spec in enumerate(self.terms):
-            if j >= o and t[j] <= 0.0:
-                continue
-            if spec.grad is None:
-                fd_rows.append(j)
-                continue
-            dx, ds = spec.grad(x, s)
-            jac[j] = np.asarray(ds, dtype=float) @ js
-            for name, offset, span, lower in self._chain:
-                partial = dx.get(name)
-                if partial:
-                    jac[j, offset] += partial * span
-        if fd_rows:
-            self._fd_fill(z, x, jac, fd_rows)
-
-        df_pen = jac[:o] + self.lam * jac[o:].sum(axis=0)
-        grad = scalarize_gradient(self.state, f_pen[0]) @ df_pen
-        if not self._bonus():
-            return float(scalarize_rows(self.state, f_pen)[0]), grad
-        u = self._uncertainty(z)
-        grad -= self.state.kappa * (self.state.weights @ self._sigma_jacobian(z, u))
-        return scalarize(self.state, f_pen[0], self._sigma(u)), grad
-
-    def _fd_fill(self, z, x, jac, rows):
-        """Forward differences on the latent cube for the gradless ``rows``.
-
-        The base values come from a one-point prediction at ``z`` like the
-        stepped ones, not from the stacked block: a row's rounding depends
-        on the rows it shares a block with, and a difference over ``h``
-        magnifies it.
-        """
-        h = self.config.fd_step
-        s = self._predict(z)
-        t = {j: self.terms[j].func(x, s) for j in rows}
-        for i in range(len(z)):
-            step = h if z[i] + h <= 1.0 else -h
-            z2 = z.copy()
-            z2[i] += step
-            x2 = self._smooth_design(z2, x)
-            s2 = self._predict(z2)
-            for j in rows:
-                jac[j, i] = (self.terms[j].func(x2, s2) - t[j]) / step
+        w[:, :o] = scalarize_stack_gradient(self.scalarization, slots, f)
+        if self.moop.p:
+            w[:, o:] = np.where(t[:, o:] > 0.0, self.lam * w[:, :o].sum(axis=1)[:, None], 0.0)
+        ds, grads = np.zeros((*t.shape, self._outputs)), np.zeros(points.shape)
+        for r, (i, weights) in enumerate(zip(slots, w.tolist())):
+            self.evs[i]._term_gradient(points[r], designs[r], preds[r], weights, ds[r], grads[r])
+        grads += self._vjp(slots, points, np.matmul(w[:, None], ds)[:, 0])
+        for r, ev in self._bonus_rows(slots):
+            u = ev._uncertainty(points[r])
+            values[r] = scalarize(ev.state, f[r], ev._sigma(u))
+            grads[r] -= ev.state.kappa * (ev.state.weights @ ev._sigma_jacobian(points[r], u))
+        return values, grads
 
 
-def _answer(evs, requests):
-    """Answer one request per evaluator from one prediction of all their rows.
+def _line_search(stack, slots, z, f, g, d, lo, hi, armijo_c, first_block):
+    """Armijo backtracking along ``alpha = 2**-j`` for ``j < MAX_TRIALS``, for every row.
 
-    A request is a block of latent rows (B, l), answered with their
-    values, or one gradient point (l,), answered with ``(value,
-    gradient)``.  The evaluators share the problem, the surrogates and
-    ``lam``, so the rows of every request are stacked for one surrogate
-    prediction, one Jacobian of the gradient points, one call of each
-    term's row form and one penalty; each slot then scalarizes its own
-    rows, and term gradients and the chain rule run per gradient point.
+    Row i searches from ``z[i]`` (value ``f[i]``, gradient ``g[i]``)
+    along ``d[i]`` inside ``[lo[i], hi[i]]`` for slot ``slots[i]``.  Each
+    sub-round evaluates the next block of every row still searching in
+    one ``stack.values`` call: ``first_block[i]`` trials first, then
+    ``TRIAL_BLOCK``.  A row accepts its first trial in sequence order
+    that passes, and fails once a trial no longer moves its point or
+    every trial fails.  Returns ``(accepted, z_new, f_new, count)``, with
+    ``count`` the accepted trial's ``j + 1``.
     """
-    ev = evs[0]
-    blocks = [r if r.ndim == 2 else r[None] for r in requests]
-    points = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    preds = ev._predict_rows(points)
-    designs, t = ev._terms(points, preds)
-    f = ev._penalize(t)
-    gradient_points = [r for r in requests if r.ndim == 1]
-    if gradient_points:
-        js = iter(ev._jacobian_rows(np.array(gradient_points)))
-    answers, at = [], 0
-    for e, r, block in zip(evs, requests, blocks):
-        rows = slice(at, at + len(block))
-        if r.ndim == 2:
-            answers.append(e._scalarize(block, f[rows]))
-        else:
-            answers.append(e._value_and_grad(r, designs[at], preds[at], t[at], f[rows], next(js)))
-        at += len(block)
-    return answers
-
-
-def _line_search(z, f, g, d, lo, hi, armijo_c, first_block):
-    """Armijo backtracking along ``alpha = 2**-j`` for ``j < MAX_TRIALS``, in blocks.
-
-    A generator: it yields each block of trial rows and is sent their
-    values.  Returns ``(z_new, f_new, j + 1)`` for the first trial ``j``
-    in sequence order that passes, or None once a trial no longer moves
-    ``z`` or every trial fails.  The first block holds ``first_block``
-    trials, later ones ``TRIAL_BLOCK``.
-    """
-    j, size = 0, first_block
-    while j < MAX_TRIALS:
-        alphas = 0.5 ** np.arange(j, min(j + size, MAX_TRIALS))
+    accepted = np.zeros(len(z), dtype=bool)
+    z_new, f_new, count = z.copy(), f.copy(), np.zeros(len(z), dtype=int)
+    # Every row keeps its place; a row that stopped searching has width 0.
+    j, width = np.zeros(len(z), dtype=int), np.minimum(first_block, MAX_TRIALS)
+    z, d, lo, hi, f, g = z[:, None], d[:, None], lo[:, None], hi[:, None], f[:, None], g[:, None]
+    while width.any():
+        # One column past the widest block is never tried, so each row's
+        # block ends at its first column that is not a moving trial.
+        k = np.arange(width.max() + 1)
+        alphas = 0.5 ** (j[:, None] + k)
         # np.minimum/np.maximum give np.clip's values at less overhead.
-        trials = np.minimum(np.maximum(z + alphas[:, None] * d, lo), hi)
+        trials = np.minimum(np.maximum(z + alphas[:, :, None] * d, lo), hi)
         steps = trials - z
-        moved = steps.any(axis=1)
-        n = len(alphas) if moved.all() else int(moved.argmin())
-        if n:
-            values = yield trials[:n]
-            passed = values <= f + armijo_c * (steps[:n] @ g)
-            if passed.any():
-                i = int(passed.argmax())
-                return trials[i], float(values[i]), j + i + 1
-        if n < len(alphas):
-            return None
-        j, size = j + n, TRIAL_BLOCK
-    return None
-
-
-def _bfgs(z_start, region: TrustRegion, config: OptimizerConfig):
-    """One slot's projected BFGS as a generator of evaluation requests.
-
-    Yields a gradient point, to be sent its ``(value, gradient)``, or a
-    block of line-search trials, to be sent their values (see
-    ``_answer``), and returns the ``SolveOutcome``.
-    """
-    lo, hi = region.bounds()
-    z = np.clip(np.asarray(z_start, dtype=float), lo, hi)
-    f, g = yield z
-    f_start = f
-    h_inv = np.eye(len(z))
-    iterations = 0
-    first_block = TRIAL_BLOCK
-
-    for _ in range(config.max_iterations):
-        pg = z - np.clip(z - g, lo, hi)
-        if np.linalg.norm(pg) <= config.grad_tol:
-            break
-        iterations += 1
-        d = -(h_inv @ g)
-        if d @ g >= 0.0:
-            h_inv = np.eye(len(z))
-            d = -g
-
-        accepted = yield from _line_search(z, f, g, d, lo, hi, config.armijo_c, first_block)
-        if accepted is None:
-            break
-        z_new, f_new, first_block = accepted
-        if f - f_new <= config.decrease_factor * max(1.0, abs(f_new)):
-            z, f = z_new, f_new
-            break
-        g_new = (yield z_new)[1]
-        step = z_new - z
-        y = g_new - g
-        sy = step @ y
-        if sy > 1e-12:
-            rho = 1.0 / sy
-            outer = np.outer(step, y)
-            h_inv = ((np.eye(len(z)) - rho * outer) @ h_inv @ (np.eye(len(z)) - rho * outer.T)
-                     + rho * np.outer(step, step))
-        z, f, g = z_new, f_new, g_new
-
-    improved = f <= f_start - config.decrease_factor * max(1.0, abs(f_start))
-    return SolveOutcome(
-        candidate=z if improved else None,
-        value=f,
-        start_value=f_start,
-        iterations=iterations,
-    )
+        n = ((k < width[:, None]) & steps.any(axis=2)).argmin(axis=1)
+        tried = k < n[:, None]
+        values = np.full(tried.shape, np.nan)
+        values[tried] = stack.values(slots.repeat(n), trials[tried])
+        passed = values <= f + armijo_c * np.vecdot(steps, g)
+        hit = passed.any(axis=1)
+        if hit.any():
+            at = passed.argmax(axis=1)[hit]
+            accepted[hit] = True
+            z_new[hit], f_new[hit] = trials[hit, at], values[hit, at]
+            count[hit] = j[hit] + at + 1
+        j += n
+        width = np.where(~hit & (n == width) & (n > 0),
+                         np.minimum(TRIAL_BLOCK, MAX_TRIALS - j), 0)
+    return accepted, z_new, f_new, count
 
 
 def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
                 config: OptimizerConfig = OptimizerConfig()) -> list[SolveOutcome]:
-    """``solve`` for several slots that share ``surrogates``, in lockstep.
+    """``solve`` for several slots at once, with their BFGS state in stacked arrays.
 
-    Slot i minimizes under ``states[i]`` from ``starts[i]`` inside
-    ``regions[i]``.  Each round advances every unfinished slot to its
-    next request and answers all of them together (``_answer``).
-    Returns one outcome per slot, in order.
+    Slot i minimizes under ``states[i]``, with the models
+    ``surrogates[i]``, from ``starts[i]`` inside ``regions[i]``.  Every
+    BFGS iteration advances all unfinished slots together: one gradient
+    evaluation of their points, one line search of sub-rounds over them
+    (``_line_search``), and stacked inverse-Hessian updates.  Returns one
+    outcome per slot, in order.
     """
-    evs = [SubproblemEvaluator(moop, state, surrogates, lam, config) for state in states]
-    runs = [_bfgs(z, region, config) for z, region in zip(starts, regions)]
-    requests = [next(run) for run in runs]
-    outcomes = [None] * len(runs)
-    live = list(range(len(runs)))
-    while live:
-        answers = _answer([evs[i] for i in live], [requests[i] for i in live])
-        still = []
-        for i, answer in zip(live, answers):
-            try:
-                requests[i] = runs[i].send(answer)
-                still.append(i)
-            except StopIteration as done:
-                outcomes[i] = done.value
-        live = still
-    return outcomes
+    if not len(states):
+        return []
+    stack = _Stack([SubproblemEvaluator(moop, state, models, lam, config)
+                    for state, models in zip(states, surrogates)])
+    lo, hi = (np.array(b) for b in zip(*(region.bounds() for region in regions)))
+    z = np.clip(np.asarray(starts, dtype=float), lo, hi)
+    n_slots, dim = z.shape
+    # The working arrays hold the unfinished slots, ``slots`` naming each row's.
+    slots = np.arange(n_slots)
+    f, g = stack.values_and_grads(slots, z)
+    f_start = f.copy()
+    h_inv = np.tile(np.eye(dim), (n_slots, 1, 1))
+    first_block = np.full(n_slots, TRIAL_BLOCK)
+    iterations = np.zeros(n_slots, dtype=int)
+    final_z, final_f = np.empty_like(z), np.empty_like(f)
+
+    def retire(live, done):
+        """Record the rows ``done`` of the working arrays as final; the rest, compacted."""
+        if not done.any():
+            return live
+        final_z[live[0][done]], final_f[live[0][done]] = live[1][done], live[2][done]
+        return tuple(a[~done] for a in live)
+
+    live = slots, z, f, g, h_inv, lo, hi, first_block
+    for _ in range(config.max_iterations):
+        slots, z, f, g, h_inv, lo, hi, first_block = live
+        pg = z - np.clip(z - g, lo, hi)
+        live = retire(live, np.sqrt(np.vecdot(pg, pg)) <= config.grad_tol)
+        slots, z, f, g, h_inv, lo, hi, first_block = live
+        if not slots.size:
+            break
+        iterations[slots] += 1
+        d = -np.matmul(h_inv, g[:, :, None])[:, :, 0]
+        uphill = np.vecdot(d, g) >= 0.0
+        if uphill.any():
+            h_inv[uphill] = np.eye(dim)
+            d[uphill] = -g[uphill]
+
+        accepted, z_new, f_new, count = _line_search(stack, slots, z, f, g, d, lo, hi,
+                                                     config.armijo_c, first_block)
+        first_block[accepted] = count[accepted]
+        small = accepted & (f - f_new <= config.decrease_factor
+                            * np.maximum(1.0, np.abs(f_new)))
+        z[small], f[small] = z_new[small], f_new[small]
+        moving = accepted & ~small
+        go = np.flatnonzero(moving)
+        if go.size:
+            g_new = stack.values_and_grads(slots[go], z_new[go])[1]
+            step, y = z_new[go] - z[go], g_new - g[go]
+            sy = np.vecdot(step, y)
+            curved = sy > 1e-12
+            if curved.any():
+                rho = (1.0 / sy[curved])[:, None, None]
+                s, y = step[curved], y[curved]
+                a = np.eye(dim) - rho * (s[:, :, None] * y[:, None, :])
+                h_inv[go[curved]] = (a @ h_inv[go[curved]] @ a.transpose(0, 2, 1)
+                                     + rho * (s[:, :, None] * s[:, None, :]))
+            z[go], f[go], g[go] = z_new[go], f_new[go], g_new
+        live = retire(live, ~moving)
+    retire(live, np.ones(len(live[0]), dtype=bool))
+
+    improved = final_f <= f_start - config.decrease_factor * np.maximum(1.0, np.abs(f_start))
+    return [SolveOutcome(candidate=final_z[i].copy() if improved[i] else None,
+                         value=float(final_f[i]), start_value=float(f_start[i]),
+                         iterations=int(iterations[i]))
+            for i in range(n_slots)]
 
 
 def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: TrustRegion,
@@ -425,4 +492,4 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
     None and a model-improvement point should be generated instead.
     This is the one-slot case of ``solve_batch``.
     """
-    return solve_batch(moop, [state], surrogates, [z_start], [region], lam, config)[0]
+    return solve_batch(moop, [state], [surrogates], [z_start], [region], lam, config)[0]

@@ -6,18 +6,19 @@ and selects its start record, then solves each penalized subproblem
 inside a trust region around its start, swaps duplicates for
 model-improvement points, and sends the resulting batch to a worker
 pool.  Slots that share a start share one trust region and one
-localization (``set_center``), built at the first of them and released
-after the last.  A slot on a local refit is solved at once; the slots
-that keep the global models are solved together by
-``optimizer.solve_batch``, so a global kernel system is factored only
-when some slot predicts with it.  The outcomes become batch points in
-slot order, and each slot draws from its own RNG stream, so the draws
-are those of slots run one after another.  The optimizer
-config is checked when the solver is built, before anything runs.
-Results merge in batch order so runs are reproducible for any worker
-count, and the whole solver state (database, penalty, RNG streams)
-round-trips through checkpoints: a small JSON state file plus an
-append-only journal of one JSON line per record.
+localization (``set_center``), so they get the same model objects: a
+local refit, or the global models.  All q slots of an iteration are
+solved by one ``optimizer.solve_batch``, which predicts the rows of
+each model together, so a global kernel system is factored only when
+some slot predicts with it; every refit of the iteration is alive until
+the batch returns.  The outcomes become batch points in slot order, and
+each slot draws from its own RNG stream, so the draws are those of
+slots run one after another.  The optimizer config is checked when the
+solver is built, before anything runs.  Results merge in batch order so
+runs are reproducible for any worker count, and the whole solver state
+(database, penalty, RNG streams) round-trips through checkpoints: a
+small JSON state file plus an append-only journal of one JSON line per
+record.
 """
 
 from __future__ import annotations
@@ -176,35 +177,22 @@ class MoopSolver:
                   for i, spec in enumerate(self.moop.acquisitions)]
         starts = [acq.select_start(state, self.database, self.penalty.value)
                   for state in states]
-        # One region and one localization per distinct start, kept until
-        # the last slot with that start.  A slot on a refit is solved at
-        # once; the slots that keep the global models are solved together
-        # afterwards.
-        last = {start: i for i, start in enumerate(starts)}
-        localized, slots, outcomes, shared = {}, [], {}, []
-        for i, (state, start) in enumerate(zip(states, starts)):
+        # One region and one localization per distinct start, shared by
+        # every slot with that start; all slots are solved in one batch.
+        localized, regions, slot_models = {}, [], []
+        for start in starts:
             if start not in localized:
-                center = self.database.records[start].latent
-                region = trust_region(center, latents, self.moop.n)
-                localized[start] = center, region, [
+                region = trust_region(self.database.records[start].latent, latents, self.moop.n)
+                localized[start] = region, [
                     model.set_center(region, local=sim.surrogate.local)
                     for sim, model in zip(self.moop.simulations, models)]
-            center, region, local_models = (localized.pop(start) if last[start] == i
-                                            else localized[start])
-            slots.append((state, center, region))
-            if any(lm is not m for lm, m in zip(local_models, models)):
-                outcomes[i] = optimizer.solve(self.moop, state, local_models, center,
-                                              region, self.penalty.value, self.opt_config)
-            else:
-                shared.append(i)
-        if shared:
-            states, centers, regions = zip(*(slots[i] for i in shared))
-            outcomes.update(zip(shared, optimizer.solve_batch(
-                self.moop, states, models, centers, regions, self.penalty.value,
-                self.opt_config)))
+            regions.append(localized[start][0])
+            slot_models.append(localized[start][1])
+        outcomes = optimizer.solve_batch(
+            self.moop, states, slot_models, [region.center for region in regions], regions,
+            self.penalty.value, self.opt_config)
 
-        for i, (_, _, region) in enumerate(slots):
-            outcome = outcomes[i]
+        for i, (outcome, region) in enumerate(zip(outcomes, regions)):
             point = None
             if outcome.candidate is not None:
                 point = self._new_point(outcome.candidate, f"acquisition:{i}", batch_keys)

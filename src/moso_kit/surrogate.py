@@ -4,22 +4,26 @@ One model per simulation: shared kernel matrix, one coefficient column
 per output.  The kernel is phi(r) = exp(-(eps*r)**2) with the shape
 parameter tied to the data spacing, plus a small trace-scaled nugget so
 the system stays positive definite.  ``fit`` checks and keeps the data;
-the kernel system (shape parameter, nugget, Cholesky factor,
-coefficients and the cached expansion terms below) is built at the
-model's first prediction, Jacobian or uncertainty and kept from then on,
-so a model that is only localized or asked for improvement points never
-factors its kernel.  A model does not change after its build;
-trust-region localization returns a new model fitted on nearby data.
+the kernel system (shape parameter, nugget, coefficients and the cached
+expansion terms below) is built at the model's first prediction,
+Jacobian or uncertainty and kept from then on, so a model that is only
+localized or asked for improvement points never factors its kernel.
+The build does not keep the Cholesky factor: only the uncertainty reads
+it, and factors the system again at its first call.  A model does not
+change after its build; trust-region localization returns a new model
+fitted on nearby data.
 
 Predictions take a block of latent rows at once (``evaluate_rows``) and
 expand the kernel exponent as ``-eps**2 * (|z|**2 - 2 z.c + |c|**2)``
 with the center norms cached at the build: one matrix product, one ``exp``
 and one product with the coefficients per block.  The exponent is
 clipped at zero, where cancellation near a center could make it
-positive.  ``evaluate`` is the one-row case.  The gradient and the
+positive.  ``evaluate`` is the one-row case.  The Jacobian and the
 uncertainty keep the difference form ``z - c``, which they need anyway;
 ``gradient_rows`` gives the Jacobians at a block of rows, one per row
-exactly as ``gradient`` (its one-row case) computes it.
+exactly as ``gradient`` (its one-row case) computes it.  The inner solve
+needs only vector-Jacobian products, and ``vjp_rows`` gives them from
+the expansion-form kernel without forming any Jacobian.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ def trust_region(center: np.ndarray, points: np.ndarray, n_design: int) -> Trust
     return TrustRegion(center=center, radius=float(d[n_design]))
 
 
-#: The kernel system: what ``RbfSurrogate._build`` sets on a model from ``fit``.
+#: The kernel system: what ``RbfSurrogate._build`` sets on a model from
+#: ``fit``, and the Cholesky factor, which only the uncertainty reads.
 _SYSTEM = frozenset({"coef", "eps", "nugget", "_cho", "out_std", "_e2", "_scaled_t",
                      "_scaled_sq"})
 
@@ -81,13 +86,13 @@ class RbfSurrogate:
     def __init__(self, centers, coef, eps, nugget, cho, out_std, values):
         self.centers = centers          # (N, latent_dim)
         self.values = values            # (N, m), kept for refits
-        self._set_system(coef, eps, nugget, cho, out_std)
+        self._cho = cho
+        self._set_system(coef, eps, nugget, out_std)
 
-    def _set_system(self, coef, eps, nugget, cho, out_std):
+    def _set_system(self, coef, eps, nugget, out_std):
         self.coef = coef                # (N, m)
         self.eps = eps
         self.nugget = nugget
-        self._cho = cho
         self.out_std = out_std          # (m,)
         # The kernel exponent -eps**2 * |z - c|**2 is expanded as
         # z . (2 eps**2 c) - eps**2 |c|**2 - eps**2 |z|**2.
@@ -99,9 +104,15 @@ class RbfSurrogate:
     def __getattr__(self, name):
         # Reached only for an attribute that is not set: a model from
         # ``fit`` builds its kernel system at the first read of any part.
+        # The build does not keep the Cholesky factor, which only the
+        # uncertainty reads: an iteration keeps every refit of its slots
+        # alive, and the factor would add N**2 floats to each.
         if name not in _SYSTEM:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._build()
+        if name == "_cho":
+            self._cho = self._factor()[0]
+        else:
+            self._build()
         return self.__dict__[name]
 
     @property
@@ -133,8 +144,8 @@ class RbfSurrogate:
         model.centers, model.values, model._nugget_scale = pts, val, nugget_scale
         return model
 
-    def _build(self) -> None:
-        """Solve the kernel system of the data ``fit`` kept.
+    def _factor(self):
+        """The Cholesky factor, shape parameter and nugget of the data's kernel system.
 
         The shape parameter is 1/(sqrt(2) * mean pairwise distance);
         the nugget is ``nugget_scale * trace(K)/N``.  The pairwise mean
@@ -144,7 +155,7 @@ class RbfSurrogate:
         statistic collapses there, degrading the model into a lookup
         table of the data with spurious zeros between clusters).
         """
-        pts, val = self.centers, self.values
+        pts = self.centers
         if len(pts) == 1:
             eps = 1.0
             dist2 = np.zeros((1, 1))
@@ -159,26 +170,35 @@ class RbfSurrogate:
         try:
             with one_thread():
                 cho = cho_factor(system, lower=True)
-                coef = cho_solve(cho, val)
         except np.linalg.LinAlgError as err:
             raise SurrogateError(
                 f"singular kernel system (cond ~ {np.linalg.cond(system):.3g})"
             ) from err
-        self._set_system(coef, eps, nugget, cho, val.std(axis=0))
+        return cho, eps, nugget
+
+    def _build(self) -> None:
+        """Solve the kernel system of the data ``fit`` kept."""
+        cho, eps, nugget = self._factor()
+        with one_thread():
+            coef = cho_solve(cho, self.values)
+        self._set_system(coef, eps, nugget, self.values.std(axis=0))
 
     def _kvec(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diffs = np.asarray(z, dtype=float) - self.centers
         k = np.exp(-(self.eps ** 2) * np.einsum("ij,ij->i", diffs, diffs))
         return k, diffs
 
-    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
-        """Predicted outputs (B, m) at the latent rows of ``points`` (B, l)."""
-        z = np.asarray(points, dtype=float)
+    def _kernel_rows(self, z: np.ndarray) -> np.ndarray:
+        """Kernel values (B, N) at the rows of ``z``, in the expansion form."""
         arg = z @ self._scaled_t
         arg -= self._scaled_sq
-        arg -= self._e2 * np.einsum("ij,ij->i", z, z)[:, None]
+        arg -= self._e2 * np.vecdot(z, z)[:, None]
         np.minimum(arg, 0.0, out=arg)
-        return np.exp(arg, out=arg) @ self.coef
+        return np.exp(arg, out=arg)
+
+    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        """Predicted outputs (B, m) at the latent rows of ``points`` (B, l)."""
+        return self._kernel_rows(np.asarray(points, dtype=float)) @ self.coef
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Predicted outputs at a latent point."""
@@ -194,6 +214,19 @@ class RbfSurrogate:
     def gradient(self, z: np.ndarray) -> np.ndarray:
         """Jacobian (output_dim, latent_dim) of the prediction."""
         return self.gradient_rows(np.asarray(z, dtype=float)[None])[0]
+
+    def vjp_rows(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``weights[b] @ gradient(points[b])`` for every row: (B, latent_dim).
+
+        ``weights`` (B, output_dim) are contracted with the coefficients
+        before the kernel derivative, so no Jacobian is formed: with
+        ``a = k * (weights @ coef.T)`` the product is
+        ``-2 eps**2 * (sum(a) z - a @ centers)``.
+        """
+        z = np.asarray(points, dtype=float)
+        a = self._kernel_rows(z)
+        a *= np.asarray(weights, dtype=float) @ self.coef.T
+        return (-2.0 * self._e2) * (a.sum(axis=1)[:, None] * z - a @ self.centers)
 
     def uncertainty(self, z: np.ndarray) -> np.ndarray:
         """Per-output model uncertainty at a latent point.

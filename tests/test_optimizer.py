@@ -1,5 +1,6 @@
 """Inner projected-BFGS solves of the scalarized surrogate subproblem."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -336,13 +337,14 @@ def test_uncertainty_bonus_gradient_computes_each_uncertainty_once(monkeypatch):
     ev = SubproblemEvaluator(moop, state, models, lam=1.0, config=OptimizerConfig(kappa=kappa))
     z = np.array([0.35, 0.6])
 
-    # The value and gradient the terms define, in the evaluator's order.
+    # The value and gradient the terms define, in the evaluator's order:
+    # one vector-Jacobian product per model, then the bonus.
     f = np.concatenate([m.evaluate(z) for m in models])
     u = np.concatenate([m.uncertainty(z) for m in models])
     sigma = np.full(2, float(u.max()))
     value = float(w @ f) - kappa * float(w @ sigma)
     row = np.vstack([m.uncertainty_gradient(z) for m in models])[int(np.argmax(u))]
-    grad = w @ np.vstack([m.gradient(z) for m in models])
+    grad = models[0].vjp_rows(z[None], w[None, :1])[0] + models[1].vjp_rows(z[None], w[None, 1:])[0]
     grad -= kappa * (w @ np.tile(row, (2, 1)))
 
     calls = count_calls(monkeypatch, RbfSurrogate, "uncertainty")
@@ -478,7 +480,7 @@ def random_line_search_problems(rng):
 
 
 def checked_line_search(monkeypatch, evaluators):
-    """Patch ``optimizer._line_search`` to check each search against the sequential one.
+    """Patch ``optimizer._line_search`` to check every row's search against the sequential one.
 
     ``evaluators`` maps a region's ``(lo, hi)`` bytes to the slot's
     evaluator.  Returns the list of sequential outcomes, one per search.
@@ -486,22 +488,30 @@ def checked_line_search(monkeypatch, evaluators):
     block_search = optimizer._line_search
     searches = []
 
-    def checked(z, f, g, d, lo, hi, armijo_c, first_block):
-        search = block_search(z, f, g, d, lo, hi, armijo_c, first_block)
-        rows = 0
+    def checked(stack, slots, z, f, g, d, lo, hi, armijo_c, first_block):
+        values, rows = stack.values, collections.Counter()
+
+        def counted(row_slots, points):
+            rows.update(row_slots.tolist())
+            return values(row_slots, points)
+
+        stack.values = counted
         try:
-            trials = next(search)
-            while True:
-                rows += len(trials)
-                trials = search.send((yield trials))
-        except StopIteration as done:
-            accepted = done.value
-        assert rows <= optimizer.MAX_TRIALS
-        ev = evaluators[lo.tobytes(), hi.tobytes()]
-        want = sequential_line_search(ev, z, f, g, d, lo, hi, armijo_c)
-        assert (None if accepted is None else accepted[2] - 1) == want
-        searches.append(want)
-        return accepted
+            accepted, z_new, f_new, count = block_search(stack, slots, z, f, g, d, lo, hi,
+                                                         armijo_c, first_block)
+        finally:
+            del stack.values
+        for i in range(len(z)):
+            assert rows[slots[i]] <= optimizer.MAX_TRIALS
+            ev = evaluators[lo[i].tobytes(), hi[i].tobytes()]
+            want = sequential_line_search(ev, z[i], f[i], g[i], d[i], lo[i], hi[i], armijo_c)
+            assert (count[i] - 1 if accepted[i] else None) == want
+            if want is not None:
+                np.testing.assert_array_equal(
+                    z_new[i], np.clip(z[i] + 0.5 ** want * d[i], lo[i], hi[i]))
+                assert f_new[i] == pytest.approx(ev.value(z_new[i]), rel=1e-12, abs=1e-12)
+            searches.append(want)
+        return accepted, z_new, f_new, count
 
     monkeypatch.setattr(optimizer, "_line_search", checked)
     return searches
@@ -540,9 +550,10 @@ def test_block_line_search_accepts_the_sequential_trial(monkeypatch):
         regions, starts = zip(*(region_for(len(moop.variables)) for _ in states))
         for state, region in zip(states, regions):
             register(moop, state, surrogates, region)
-        solve_batch(moop, states, surrogates, starts, regions, lam=1.0)
+        solve_batch(moop, states, [surrogates] * len(states), starts, regions, lam=1.0)
     assert max(len(states) for _, _, states in by_terms.values()) > 1
-    assert len(searches) > single
+    lockstep = searches[single:]
+    assert None in lockstep and max(s for s in lockstep if s is not None) >= optimizer.TRIAL_BLOCK
 
 
 def lockstep_slots(rng):
@@ -580,11 +591,15 @@ def lockstep_slots(rng):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_solve_batch_matches_a_solve_per_slot(seed):
-    moop, surrogates, slots = lockstep_slots(np.random.default_rng(seed))
+    moop, (model,), slots = lockstep_slots(np.random.default_rng(seed))
+    # Every other slot predicts with a local refit of the global model.
+    refit = model.set_center(TrustRegion(center=np.full(3, 0.5), radius=0.3))
+    assert refit is not model
+    models = [[model] if i % 2 else [refit] for i in range(len(slots))]
     states, starts, regions = zip(*slots)
-    together = solve_batch(moop, states, surrogates, starts, regions, lam=1.7)
+    together = solve_batch(moop, states, models, starts, regions, lam=1.7)
     assert len(together) == len(slots)
-    for (state, start, region), got in zip(slots, together):
+    for (state, start, region), surrogates, got in zip(slots, models, together):
         want = solve(moop, state, surrogates, start, region, lam=1.7)
         assert got.iterations == want.iterations
         assert (got.candidate is None) == (want.candidate is None)
@@ -592,3 +607,18 @@ def test_solve_batch_matches_a_solve_per_slot(seed):
         assert got.start_value == pytest.approx(want.start_value, rel=1e-9, abs=1e-12)
         if want.candidate is not None:
             np.testing.assert_allclose(got.candidate, want.candidate, rtol=1e-9, atol=1e-12)
+    # Slots finished at different iterations, so finished slots left the
+    # working arrays while others went on.
+    assert len({got.iterations for got in together}) > 1
+
+    # Each candidate is a fresh array: writing to one changes nothing else.
+    candidates = [got.candidate for got in together if got.candidate is not None]
+    assert len(candidates) > 1
+    kept = [c.copy() for c in candidates]
+    for c in candidates:
+        assert c.flags.owndata
+        assert not any(np.shares_memory(c, other) for other in (*starts, *candidates)
+                       if other is not c)
+    candidates[0][:] = np.nan
+    for c, k in zip(candidates[1:], kept[1:]):
+        np.testing.assert_array_equal(c, k)

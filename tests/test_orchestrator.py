@@ -3,7 +3,6 @@
 import hashlib
 import json
 import time
-import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -673,28 +672,38 @@ def test_workers_must_be_positive():
 
 
 def local_dtlz2():
-    """A local-refit DTLZ2 problem whose 16 slots include global slots, two
-    of them on one start, and a refit kept across another slot's solve."""
+    """A local-refit DTLZ2 problem whose iterations mix refit and global
+    slots, and whose slots share starts, refits included."""
     return testbed.dtlz2_moop(n=3, o=2, q0=6, batch=4, seed=5, local=True)
 
 
-def test_refit_slots_solve_alone_and_global_slots_in_lockstep(monkeypatch):
-    kept, refits, solved, batched = [], [], [], []
-    states, starts, kept_across, iteration = [], [], [], [0]
-    iterate, refresh, select_start = (MoopSolver.iterate, acquisition.refresh,
-                                      acquisition.select_start)
-    set_center, solve, solve_batch = (RbfSurrogate.set_center, optimizer.solve,
-                                      optimizer.solve_batch)
+def test_every_slot_of_an_iteration_is_solved_in_one_batch(monkeypatch):
+    batches, localized, starts, mixed, shared_refits = [], [], [], [], []
+    iterate, select_start = MoopSolver.iterate, acquisition.select_start
+    set_center, solve_batch = RbfSurrogate.set_center, optimizer.solve_batch
 
     def spy_iterate(solver, k):
-        states.clear()
-        starts.clear()
-        iteration[0] = k
-        return iterate(solver, k)
-
-    def spy_refresh(*args):
-        states.append(refresh(*args))
-        return states[-1]
+        for log in (batches, localized, starts):
+            log.clear()
+        batch = iterate(solver, k)
+        if k == 0:
+            return batch
+        # One batch covers all q slots.
+        assert len(batches) == 1 and len(batches[0]) == solver.moop.q
+        slot_models = batches[0]
+        # One localization per distinct start, in slot order.
+        assert [center for center, _, _ in localized] == list(dict.fromkeys(starts))
+        by_start = {center: local for center, _, local in localized}
+        for models, start in zip(slot_models, starts):
+            # A slot gets its start's models: the same objects for every
+            # slot with that start.
+            assert len(models) == 1 and models[0] is by_start[start]
+        refit = [m is not g for _, g, m in localized]
+        if any(refit) and not all(refit):
+            mixed.append(k)
+        if any(r and starts.count(c) > 1 for r, (c, _, _) in zip(refit, localized)):
+            shared_refits.append(k)
+        return batch
 
     def spy_select_start(state, database, lam):
         start = select_start(state, database, lam)
@@ -703,53 +712,24 @@ def test_refit_slots_solve_alone_and_global_slots_in_lockstep(monkeypatch):
 
     def spy_set_center(model, region, local=True):
         local_model = set_center(model, region, local)
-        if local_model is model:
-            kept.append(model)
-        else:
-            refits.append((weakref.ref(local_model), latent_key(region.center)))
+        localized.append((latent_key(region.center), model, local_model))
         return local_model
 
-    in_solve = []
+    def spy_solve_batch(moop, states, surrogates, *args):
+        batches.append([list(models) for models in surrogates])
+        return solve_batch(moop, states, surrogates, *args)
 
-    def spy_solve(moop, state, surrogates, *args):
-        slot = next(i for i, s in enumerate(states) if s is state)
-        assert (iteration[0], slot) not in solved
-        # The refits alive are this slot's, plus those kept for a later
-        # slot with the same start; every other refit has been released.
-        for ref, start in refits:
-            model = ref()
-            if model is not None and model not in surrogates:
-                assert start in starts[slot + 1:]
-                kept_across.append(slot)
-        solved.append((iteration[0], slot))
-        in_solve.append(True)
-        try:
-            return solve(moop, state, surrogates, *args)
-        finally:
-            in_solve.pop()
-
-    def spy_solve_batch(moop, batch_states, surrogates, *args):
-        if in_solve:  # ``solve`` is the one-slot case
-            return solve_batch(moop, batch_states, surrogates, *args)
-        # Every start of the batch kept the one global model, once.
-        slots = [next(i for i, s in enumerate(states) if s is st) for st in batch_states]
-        assert len(kept) == len({starts[i] for i in slots})
-        assert all(m is surrogates[0] for m in kept)
-        kept.clear()
-        batched.append(len(batch_states))
-        return solve_batch(moop, batch_states, surrogates, *args)
+    def solve(*args, **kwargs):
+        raise AssertionError("iterate called optimizer.solve")
 
     monkeypatch.setattr(MoopSolver, "iterate", spy_iterate)
-    monkeypatch.setattr(acquisition, "refresh", spy_refresh)
     monkeypatch.setattr(acquisition, "select_start", spy_select_start)
     monkeypatch.setattr(RbfSurrogate, "set_center", spy_set_center)
-    monkeypatch.setattr(optimizer, "solve", spy_solve)
     monkeypatch.setattr(optimizer, "solve_batch", spy_solve_batch)
+    monkeypatch.setattr(optimizer, "solve", solve)
     MoopSolver(local_dtlz2()).solve(6 + 4 * 4)
-    assert not kept and kept_across
-    # Each refit slot was solved once, on its own; the rest were batched.
-    assert batched and len(solved) + sum(batched) == 16 and len(refits) > 0
-    assert len(refits) < len(solved)  # a start shared by refit slots is refitted once
+    # Batches mixed refit and global slots, and slots shared a refit.
+    assert mixed and shared_refits
 
 
 def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
@@ -796,15 +776,7 @@ def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
     monkeypatch.undo()
     assert all_refit
 
-    # The same run with every model built at its fit and every slot
-    # localized on its own start.
-    class Unshared(int):
-        """A record index equal only to itself, so no two slots share a start."""
-        __hash__ = object.__hash__
-
-        def __eq__(self, other):
-            return self is other
-
+    # The same run with every model built at its fit, starts shared as above.
     fit = RbfSurrogate.fit
 
     def eager_fit(cls, *args, **kwargs):
@@ -812,23 +784,38 @@ def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
         model._build()
         return model
 
-    def counted_set_center(model, region, local=True):
-        centers.append(latent_key(region.center))
-        return set_center(model, region, local)
-
     monkeypatch.setattr(RbfSurrogate, "fit", classmethod(eager_fit))
-    monkeypatch.setattr(acquisition, "select_start",
-                        lambda *args: Unshared(select_start(*args)))
-    monkeypatch.setattr(RbfSurrogate, "set_center", counted_set_center)
-    centers.clear()
     eager = MoopSolver(local_dtlz2()).solve(6 + 4 * 6).database
-    assert len(centers) == 4 * 6  # one localization per slot
     assert len(eager) == len(deferred)
     for a, b in zip(eager.records, deferred.records):
         assert a.design == b.design
         assert a.iteration == b.iteration
         for x, y in zip(a.sim_outputs, b.sim_outputs):
             assert x.tobytes() == y.tobytes()
+
+    # The same iterations with every slot on models of its own, as if no
+    # two slots shared a start.  Each slot's rows are then predicted in
+    # matrix products of their own, which round differently from the
+    # shared ones, so the outcomes agree to a tolerance.
+    solve_batch, compared = optimizer.solve_batch, []
+
+    def with_own_models(moop, states, surrogates, *args):
+        together = solve_batch(moop, states, surrogates, *args)
+        own = [[RbfSurrogate.fit(m.centers, m.values) for m in models] for models in surrogates]
+        compared.extend(zip(solve_batch(moop, states, own, *args), together))
+        return together
+
+    monkeypatch.undo()
+    monkeypatch.setattr(optimizer, "solve_batch", with_own_models)
+    MoopSolver(local_dtlz2()).solve(6 + 4 * 6)
+    assert len(compared) == 4 * 6
+    for got, want in compared:
+        assert got.iterations == want.iterations
+        assert (got.candidate is None) == (want.candidate is None)
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
+        assert got.start_value == pytest.approx(want.start_value, rel=1e-9, abs=1e-12)
+        if want.candidate is not None:
+            np.testing.assert_allclose(got.candidate, want.candidate, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("field, value", [

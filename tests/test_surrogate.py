@@ -141,6 +141,7 @@ def predictions(rows):
     return {
         "evaluate_rows": lambda m: m.evaluate_rows(rows),
         "gradient_rows": lambda m: m.gradient_rows(rows),
+        "vjp_rows": lambda m: m.vjp_rows(rows, np.ones((len(rows), m.output_dim))),
         "uncertainty": lambda m: np.array([m.uncertainty(z) for z in rows]),
         "uncertainty_gradient": lambda m: np.array([m.uncertainty_gradient(z) for z in rows]),
     }
@@ -154,9 +155,28 @@ def test_a_fitted_model_predicts_bitwise_as_one_built_at_once(first):
     eager = eager_model(pts, vals)
     calls = predictions(rng.random((6, 4)))
     np.testing.assert_array_equal(calls[first](model), calls[first](eager))
+    # The build keeps no Cholesky factor; the uncertainty factors again.
+    assert ("_cho" in vars(model)) == first.startswith("uncertainty")
     for call in calls.values():
         np.testing.assert_array_equal(call(model), call(eager))
     assert model.eps == eager.eps and model.nugget == eager.nugget
+
+
+@pytest.mark.parametrize("m", [1, 3, 198])
+@pytest.mark.parametrize("built", ["fit", "constructor"])
+def test_vjp_rows_is_the_weighted_jacobian(m, built):
+    rng = np.random.default_rng(m)
+    pts = rng.random((60, 5))
+    vals = np.sin(pts @ rng.uniform(-2.0, 2.0, (5, m))) + rng.normal(0.0, 0.1, (60, m))
+    model = RbfSurrogate.fit(pts, vals) if built == "fit" else eager_model(pts, vals)
+    for n_rows in (1, 7):
+        rows = rng.random((n_rows, 5))
+        weights = rng.normal(size=(n_rows, m))
+        want = np.einsum("bm,bml->bl", weights, model.gradient_rows(rows))
+        got = model.vjp_rows(rows, weights)
+        assert got.shape == (n_rows, 5)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        np.testing.assert_array_equal(model.vjp_rows(rows, np.zeros((n_rows, m))), 0.0)
 
 
 def test_a_singular_system_raises_at_the_first_prediction():
