@@ -9,12 +9,21 @@ kinds are supported:
   iteration (normalized unit-rate exponential draws).
 * ``random_epsilon_constraint``: minimize one randomly chosen objective
   subject to the others staying below an anchor drawn from the feasible
-  archive, enforced by a one-sided penalty with slope ``rho``.  The
+  archive, enforced by a one-sided penalty with slope ``RHO``.  The
   anchor interpolates between two independently chosen archive points,
   so roughly half the draws sit on a known solution and the rest sit in
   the gaps between known solutions, pulling new solves into unexplored
   stretches of the tradeoff surface instead of re-converging onto
   already archived points.
+
+The penalty is the softplus ``w_j * log(1 + exp((f_j - eps_j) / w_j))``,
+a hinge ``max(f_j - eps_j, 0)`` smoothed over a width ``w_j`` of
+``WIDTH_FRACTION`` of objective j's spread over the archive, so it
+scales with the objectives.  The inner solve is a quasi-Newton method,
+and at the kink of an exact hinge its steps fail the line search until
+they are tiny; the smooth penalty has a gradient everywhere.  The
+scalarization, its gradient and the start selection all use this one
+formula.
 """
 
 from __future__ import annotations
@@ -22,22 +31,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .problem import AcquisitionSpec, EvaluationDatabase
 
 #: Slope of the epsilon-constraint violation penalty.
 RHO = 100.0
+#: Width of the smoothed penalty, as a fraction of each objective's archive spread.
+WIDTH_FRACTION = 0.01
+#: Width for an objective whose archive values do not spread, such as a single point.
+FALLBACK_WIDTH = 0.01
 
 
 @dataclass(frozen=True)
 class ScalarizationState:
-    """A concrete scalarization for one iteration of one acquisition."""
+    """A concrete scalarization for one iteration of one acquisition.
+
+    ``widths`` are the epsilon kind's per-objective penalty widths;
+    ``refresh`` sets them from the archive, and None stands for
+    ``FALLBACK_WIDTH`` on every objective.
+    """
 
     kind: str
     weights: np.ndarray | None = None
     target: int | None = None
     epsilons: np.ndarray | None = None
     kappa: float = 0.0
+    widths: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.widths is not None:
+            widths = np.asarray(self.widths, dtype=float)
+            if not (np.isfinite(widths) & (widths > 0.0)).all():
+                raise ValueError("penalty widths must be finite and > 0")
 
 
 def refresh(spec: AcquisitionSpec, archive, rng: np.random.Generator,
@@ -58,10 +84,13 @@ def refresh(spec: AcquisitionSpec, archive, rng: np.random.Generator,
         mix = rng.uniform()
         anchor = mix * first + (1.0 - mix) * second
         target = int(rng.integers(n_objectives))
+        spread = np.ptp(archive.objectives, axis=0)
         return ScalarizationState("random_epsilon_constraint",
                                   target=target,
                                   epsilons=anchor,
-                                  kappa=kappa)
+                                  kappa=kappa,
+                                  widths=np.where(spread > 0.0, WIDTH_FRACTION * spread,
+                                                  FALLBACK_WIDTH))
     raise ValueError(f"unknown acquisition kind {spec.kind!r}")
 
 
@@ -74,8 +103,9 @@ def scalarize(state: ScalarizationState, f: np.ndarray, sigma: np.ndarray | None
     """Collapse an objective vector (and optional uncertainties) to a scalar.
 
     Weight kinds give ``w.f - kappa * w.sigma``; the epsilon-constraint
-    kind gives ``f[t] + RHO * sum_j max(f[j] - eps[j], 0)`` over the
-    non-target objectives.
+    kind gives ``f[t] + RHO * sum_j w_j * log(1 + exp((f[j] - eps[j]) / w_j))``
+    over the non-target objectives, with ``w`` the state's widths: a
+    hinge ``max(f[j] - eps[j], 0)`` smoothed over about ``w_j``.
     """
     f = np.asarray(f, dtype=float)
     value = float(scalarize_rows(state, f[None])[0])
@@ -85,7 +115,7 @@ def scalarize(state: ScalarizationState, f: np.ndarray, sigma: np.ndarray | None
 
 
 def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
-    """d(scalarize)/df at ``f`` (subgradient at the penalty kinks)."""
+    """d(scalarize)/df at ``f``."""
     f = np.asarray(f, dtype=float)
     return scalarize_stack_gradient(stack_states([state], len(f)), np.zeros(1, dtype=np.intp),
                                     f[None])[0]
@@ -102,11 +132,13 @@ def scalarize_rows(state: ScalarizationState, objs: np.ndarray) -> np.ndarray:
 class ScalarizationStack:
     """States as one array, so rows of different slots scalarize in one pass.
 
-    Every kind is a linear form plus an epsilon penalty,
-    ``w @ f + RHO * p @ max(f - eps, 0)``: the weight kinds have ``p = 0``;
-    the epsilon-constraint kind has for ``w`` the unit vector of its
-    target and for ``p`` ones on the other objectives.  ``table[i]``
-    holds the rows ``(w, eps, p)`` of ``states[i]``.
+    Every kind is a linear form plus a smoothed epsilon penalty,
+    ``w @ f + RHO * p @ (c * softplus((f - eps) / c))`` with
+    ``softplus(u) = log(1 + exp(u))``: the weight kinds have ``p = 0``
+    (and ``c = 1``, which then counts for nothing); the
+    epsilon-constraint kind has for ``w`` the unit vector of its target,
+    for ``p`` ones on the other objectives and for ``c`` its widths.
+    ``table[i]`` holds the rows ``(w, eps, p, c)`` of ``states[i]``.
     """
 
     table: np.ndarray
@@ -114,7 +146,8 @@ class ScalarizationStack:
 
 def stack_states(states, n_objectives: int) -> ScalarizationStack:
     """The ``ScalarizationStack`` of ``states``, in order."""
-    table = np.zeros((len(states), 3, n_objectives))
+    table = np.zeros((len(states), 4, n_objectives))
+    table[:, 3] = 1.0
     for row, state in zip(table, states):
         if state.weights is not None:
             row[0] = state.weights
@@ -123,6 +156,7 @@ def stack_states(states, n_objectives: int) -> ScalarizationStack:
             row[1] = state.epsilons
             row[2] = 1.0
             row[2, state.target] = 0.0
+            row[3] = FALLBACK_WIDTH if state.widths is None else state.widths
     return ScalarizationStack(table)
 
 
@@ -133,15 +167,15 @@ def scalarize_stack(stack: ScalarizationStack, slots: np.ndarray, objs: np.ndarr
     per row as ``w @ f`` does for one vector (a ``(B, o) @ (o,)`` product
     rounds differently).
     """
-    w, eps, p = stack.table[slots].transpose(1, 0, 2)
-    return np.vecdot(objs, w) + RHO * np.vecdot(np.maximum(objs - eps, 0.0), p)
+    w, eps, p, c = stack.table[slots].transpose(1, 0, 2)
+    return np.vecdot(objs, w) + RHO * np.vecdot(c * np.logaddexp(0.0, (objs - eps) / c), p)
 
 
 def scalarize_stack_gradient(stack: ScalarizationStack, slots: np.ndarray,
                              objs: np.ndarray) -> np.ndarray:
     """``scalarize_gradient`` at each row ``objs[r]`` under state ``slots[r]``: (B, o)."""
-    w, eps, p = stack.table[slots].transpose(1, 0, 2)
-    return w + RHO * ((objs > eps) * p)
+    w, eps, p, c = stack.table[slots].transpose(1, 0, 2)
+    return w + RHO * (expit((objs - eps) / c) * p)
 
 
 def select_start(state: ScalarizationState, database: EvaluationDatabase,

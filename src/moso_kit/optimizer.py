@@ -10,18 +10,19 @@ total constraint violation is added to every objective.  Gradients flow
 through the surrogates and the objective/constraint gradients, with a
 forward finite-difference fallback on the latent cube for anything that
 does not supply one.  The solve itself is a projected BFGS with Armijo
-backtracking.  It stops once an accepted step lowers the value by no
-more than ``decrease_factor`` relative to the new value, the
-relative-reduction test of L-BFGS-B: near the kink of an
-epsilon-constraint scalarization the steps otherwise keep shrinking and
-each costs up to 40 line-search trials.
+backtracking.  It stops once an accepted step stops paying: when it
+lowers the value by no more than ``decrease_factor`` relative to the
+new value (the relative-reduction test of L-BFGS-B), or by no more than
+``MIN_PROGRESS`` of the slot's total decrease so far.  The second test
+does not depend on the scale of the values, and ends a solve whose
+steps each buy less than a thousandth of what it has already gained.
 
 ``solve_batch`` solves every slot of an iteration at once, with array
 state: the slots' points, values, gradients, inverse Hessians and boxes
 sit in stacked arrays, and a slot that finishes leaves them.  The
 backtracking trials ``alpha = 2**-j`` are evaluated in blocks, as
 sub-rounds over the slots still searching (``_line_search``).  A
-slot's first block holds as many trials as its previous iteration
+slot's first block holds one trial more than its previous iteration
 needed, later blocks ``TRIAL_BLOCK``, and the first trial in sequence
 order that passes is accepted, so blocks change which points are
 evaluated, not which one is taken.
@@ -65,7 +66,10 @@ from .surrogate import TrustRegion
 #: Backtracking trials per BFGS iteration, at most.
 MAX_TRIALS = 40
 #: Trials per line-search block after the first.
-TRIAL_BLOCK = 4
+TRIAL_BLOCK = 8
+#: An accepted step that lowers a slot's value by no more than this
+#: fraction of its total decrease so far ends the slot's solve.
+MIN_PROGRESS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -452,9 +456,10 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
 
         accepted, z_new, f_new, count = _line_search(stack, slots, z, f, g, d, lo, hi,
                                                      config.armijo_c, first_block)
-        first_block[accepted] = count[accepted]
-        small = accepted & (f - f_new <= config.decrease_factor
-                            * np.maximum(1.0, np.abs(f_new)))
+        first_block[accepted] = count[accepted] + 1
+        gain = f - f_new
+        small = accepted & ((gain <= config.decrease_factor * np.maximum(1.0, np.abs(f_new)))
+                            | (gain <= MIN_PROGRESS * (f_start[slots] - f_new)))
         z[small], f[small] = z_new[small], f_new[small]
         moving = accepted & ~small
         go = np.flatnonzero(moving)
@@ -486,7 +491,8 @@ def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: Tr
 
     Iterates until the projected gradient vanishes, the line search
     fails, ``max_iterations`` is reached, or an accepted step lowers the
-    value by at most ``decrease_factor * max(1, |new value|)``.  Returns
+    value by at most ``decrease_factor * max(1, |new value|)`` or by at
+    most ``MIN_PROGRESS`` times the decrease from the start.  Returns
     a candidate when the final value improves on the start by at least
     ``decrease_factor * max(1, |start|)``; otherwise the candidate is
     None and a model-improvement point should be generated instead.

@@ -144,8 +144,8 @@ class RbfSurrogate:
         model.centers, model.values, model._nugget_scale = pts, val, nugget_scale
         return model
 
-    def _factor(self):
-        """The Cholesky factor, shape parameter and nugget of the data's kernel system.
+    def _system(self):
+        """The data's kernel system ``K + nugget I``, its shape parameter and its nugget.
 
         The shape parameter is 1/(sqrt(2) * mean pairwise distance);
         the nugget is ``nugget_scale * trace(K)/N``.  The pairwise mean
@@ -153,26 +153,40 @@ class RbfSurrogate:
         useful lengthscale even after an optimizer has clustered many
         evaluations into small neighborhoods (a nearest-neighbor
         statistic collapses there, degrading the model into a lookup
-        table of the data with spurious zeros between clusters).
+        table of the data with spurious zeros between clusters).  The
+        system is assembled inside the distance matrix, so the build
+        holds one N x N array.
         """
         pts = self.centers
-        if len(pts) == 1:
-            eps = 1.0
-            dist2 = np.zeros((1, 1))
-        else:
-            d = cdist(pts, pts)
-            mean_pair = d.sum() / (len(pts) * (len(pts) - 1))
-            eps = 1.0 / (np.sqrt(2.0) * mean_pair) if mean_pair > 0 else 1.0
-            dist2 = d ** 2
-        kernel = np.exp(-(eps ** 2) * dist2)
-        nugget = self._nugget_scale * np.trace(kernel) / len(pts)
-        system = kernel + nugget * np.eye(len(pts))
+        n = len(pts)
+        system = cdist(pts, pts)
+        eps = 1.0
+        if n > 1:
+            mean_pair = system.sum() / (n * (n - 1))
+            if mean_pair > 0:
+                eps = 1.0 / (np.sqrt(2.0) * mean_pair)
+        np.square(system, out=system)
+        system *= -(eps ** 2)
+        np.exp(system, out=system)
+        nugget = self._nugget_scale * np.trace(system) / n
+        system.flat[::n + 1] += nugget
+        return system, eps, nugget
+
+    def _factor(self):
+        """The Cholesky factor, shape parameter and nugget of the data's kernel system.
+
+        The system is factored in place through its transpose, the
+        Fortran-ordered view LAPACK works on: ``cdist`` computes each
+        pair's distance the same way in both orders, so the transpose is
+        the same system to the last bit.
+        """
+        system, eps, nugget = self._system()
         try:
             with one_thread():
-                cho = cho_factor(system, lower=True)
+                cho = cho_factor(system.T, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError as err:
             raise SurrogateError(
-                f"singular kernel system (cond ~ {np.linalg.cond(system):.3g})"
+                f"singular kernel system (cond ~ {np.linalg.cond(self._system()[0]):.3g})"
             ) from err
         return cho, eps, nugget
 

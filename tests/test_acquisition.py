@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from moso_kit.acquisition import (
+    FALLBACK_WIDTH,
     RHO,
+    WIDTH_FRACTION,
     ScalarizationState,
     refresh,
     scalarize,
     scalarize_gradient,
     scalarize_rows,
+    scalarize_stack,
+    scalarize_stack_gradient,
     select_start,
+    stack_states,
 )
 from moso_kit.embedding import build_plan
 from moso_kit.metrics import ParetoArchive
@@ -98,6 +103,20 @@ def test_epsilon_single_point_archive_uses_that_point():
     for _ in range(20):
         state = refresh(spec, lone, rng, 2)
         assert np.array_equal(state.epsilons, [3.0, 4.0])
+        # One point has no spread to take the penalty width from.
+        assert np.array_equal(state.widths, [FALLBACK_WIDTH, FALLBACK_WIDTH])
+
+
+def test_epsilon_widths_are_a_fraction_of_the_archive_spread():
+    spec = AcquisitionSpec("random_epsilon_constraint")
+    archive = ParetoArchive(designs=[{"x": 0.1}, {"x": 0.5}, {"x": 0.9}],
+                            objectives=np.array([[1.0, 40.0, 2.0],
+                                                 [3.0, 10.0, 2.0],
+                                                 [2.0, 20.0, 2.0]]))
+    state = refresh(spec, archive, np.random.default_rng(9), 3)
+    # The third objective does not spread, so its width falls back.
+    assert np.array_equal(state.widths,
+                          [WIDTH_FRACTION * 2.0, WIDTH_FRACTION * 30.0, FALLBACK_WIDTH])
 
 
 def test_epsilon_with_empty_archive_falls_back_to_random_weights():
@@ -114,10 +133,29 @@ def test_scalarize_weighted_sum():
 
 
 def test_scalarize_epsilon_penalty_values():
+    # The penalty is the softplus w * log(1 + exp(u / w)) of the excess
+    # u = f - eps: the hinge far from the anchor, w log 2 on it.  The
+    # target's own width counts for nothing.
     state = ScalarizationState("random_epsilon_constraint", target=0,
-                               epsilons=np.array([9.9, 1.0]))
-    assert scalarize(state, np.array([0.5, 1.4])) == pytest.approx(40.5)
-    assert scalarize(state, np.array([0.5, 0.9])) == pytest.approx(0.5)
+                               epsilons=np.array([9.9, 1.0]), widths=np.array([7.0, 0.01]))
+    assert scalarize(state, np.array([0.5, 1.4])) == pytest.approx(40.5, rel=1e-15)
+    assert scalarize(state, np.array([0.5, 0.9])) == pytest.approx(
+        0.5 + RHO * 0.01 * np.log1p(np.exp(-10.0)), rel=1e-15)
+    assert scalarize(state, np.array([0.5, 1.0])) == pytest.approx(
+        0.5 + RHO * 0.01 * np.log(2.0), rel=1e-15)
+    # A state built without widths takes FALLBACK_WIDTH on every objective.
+    bare = ScalarizationState("random_epsilon_constraint", target=0,
+                              epsilons=np.array([9.9, 1.0]))
+    assert scalarize(bare, np.array([0.5, 1.0])) == pytest.approx(
+        0.5 + RHO * FALLBACK_WIDTH * np.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("widths", [[0.01, 0.0], [-1.0, 1.0], [0.01, np.nan], [np.inf, 1.0]])
+def test_penalty_widths_must_be_finite_and_positive(widths):
+    # A zero width would divide by zero and make every score nan.
+    with pytest.raises(ValueError, match="widths"):
+        ScalarizationState("random_epsilon_constraint", target=0,
+                           epsilons=np.array([0.0, 1.0]), widths=np.array(widths))
 
 
 def test_scalarize_uncertainty_bonus():
@@ -145,21 +183,30 @@ def test_scalarize_gradient_weight_kind_is_the_weights():
 
 
 def test_scalarize_gradient_epsilon_matches_finite_differences():
-    state = ScalarizationState("random_epsilon_constraint", target=1,
-                               epsilons=np.array([0.6, 0.0, 1.2]))
+    # Several states in one stack, widths of different scales, and rows
+    # on the anchor itself (f_j = eps_j), where the hinge had its kink.
+    states = [ScalarizationState("random_epsilon_constraint", target=1,
+                                 epsilons=np.array([0.6, 0.0, 1.2]),
+                                 widths=np.array([0.01, 0.5, 0.003])),
+              ScalarizationState("random_epsilon_constraint", target=0,
+                                 epsilons=np.array([0.0, 1.0, 0.4])),
+              ScalarizationState("random_weight", weights=np.array([0.2, 0.3, 0.5]))]
+    stack = stack_states(states, 3)
     rng = np.random.default_rng(6)
-    h = 1e-7
-    for _ in range(20):
-        f = rng.uniform(0.0, 2.0, 3)
-        # Keep away from the penalty kinks where the gradient jumps.
-        if np.any(np.abs(f - state.epsilons) < 10 * h):
-            continue
-        grad = scalarize_gradient(state, f)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd = (scalarize(state, f + e) - scalarize(state, f - e)) / (2 * h)
-            assert grad[j] == pytest.approx(fd, abs=1e-5)
+    slots = np.repeat(np.arange(3), 20)
+    objs = rng.uniform(0.0, 2.0, (60, 3))
+    for i in range(0, 60, 2):
+        j = rng.integers(3)
+        objs[i, j] = stack.table[slots[i], 1, j]
+    h = 1e-6
+    grads = scalarize_stack_gradient(stack, slots, objs)
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        fd = (scalarize_stack(stack, slots, objs + e) - scalarize_stack(stack, slots, objs - e)) / (2 * h)
+        np.testing.assert_allclose(grads[:, j], fd, rtol=1e-6, atol=1e-5)
+    for state, f, grad in zip([states[s] for s in slots], objs, grads):
+        np.testing.assert_array_equal(scalarize_gradient(state, f), grad)
 
 
 def test_select_start_weighted_examples():
@@ -173,7 +220,7 @@ def test_select_start_weighted_examples():
 def test_select_start_epsilon_example():
     db = make_database([[1.0, 2.0], [2.0, 1.0]])
     state = ScalarizationState("random_epsilon_constraint", target=0,
-                               epsilons=np.array([9.9, 1.0]))
+                               epsilons=np.array([9.9, 1.0]), widths=np.array([0.01, 0.01]))
     assert select_start(state, db, 1.0) == 1
 
 

@@ -136,6 +136,29 @@ def eager_model(pts, vals):
     return RbfSurrogate(pts, coef, eps, nugget, cho, vals.std(axis=0), vals)
 
 
+@pytest.mark.parametrize("n, dim", [(1, 3), (2, 1), (40, 4), (400, 10)])
+def test_kernel_system_built_in_place_matches_the_plain_expression(n, dim):
+    # The build squares, scales, exponentiates and adds the nugget inside
+    # the distance matrix and factors it in place; the factor must equal
+    # the one of the plain expression to the last bit, on one BLAS thread.
+    rng = np.random.default_rng(n)
+    pts = rng.random((n, dim))
+    model = RbfSurrogate.fit(pts, np.zeros((n, 1)))
+    if n == 1:
+        eps, dist2 = 1.0, np.zeros((1, 1))
+    else:
+        d = cdist(pts, pts)
+        eps = 1.0 / (np.sqrt(2.0) * (d.sum() / (n * (n - 1))))
+        dist2 = d ** 2
+    kernel = np.exp(-(eps ** 2) * dist2)
+    nugget = NUGGET_SCALE * np.trace(kernel) / n
+    with _blas.one_thread():
+        want, lower = cho_factor(kernel + nugget * np.eye(n), lower=True)
+    (got, got_lower), got_eps, got_nugget = model._factor()
+    assert got_lower == lower and got_eps == eps and got_nugget == nugget
+    np.testing.assert_array_equal(got, want)
+
+
 def predictions(rows):
     """Every prediction kind at ``rows``, by name."""
     return {
