@@ -56,7 +56,6 @@ class ScalarizationState:
     weights: np.ndarray | None = None
     target: int | None = None
     epsilons: np.ndarray | None = None
-    kappa: float = 0.0
     widths: np.ndarray | None = None
 
     def __post_init__(self):
@@ -67,51 +66,45 @@ class ScalarizationState:
 
 
 def refresh(spec: AcquisitionSpec, archive, rng: np.random.Generator,
-            n_objectives: int, kappa: float = 0.0) -> ScalarizationState:
+            n_objectives: int) -> ScalarizationState:
     """Draw this iteration's scalarization for one acquisition slot."""
     if spec.kind == "fixed_weight":
-        return ScalarizationState("fixed_weight",
-                                  weights=np.asarray(spec.weights, dtype=float),
-                                  kappa=kappa)
+        return ScalarizationState("fixed_weight", weights=np.asarray(spec.weights, dtype=float))
     if spec.kind == "random_weight":
-        return _random_weights(rng, n_objectives, kappa)
+        return _random_weights(rng, n_objectives)
     if spec.kind == "random_epsilon_constraint":
         if len(archive) == 0:
             # Nothing feasible yet to anchor the constraints on.
-            return _random_weights(rng, n_objectives, kappa)
+            return _random_weights(rng, n_objectives)
         first = archive.objectives[rng.integers(len(archive))]
         second = archive.objectives[rng.integers(len(archive))]
         mix = rng.uniform()
         anchor = mix * first + (1.0 - mix) * second
         target = int(rng.integers(n_objectives))
-        spread = np.ptp(archive.objectives, axis=0)
-        return ScalarizationState("random_epsilon_constraint",
-                                  target=target,
-                                  epsilons=anchor,
-                                  kappa=kappa,
-                                  widths=np.where(spread > 0.0, WIDTH_FRACTION * spread,
-                                                  FALLBACK_WIDTH))
+        # A spread that overflows is taken over the scaled objectives; a
+        # width that is not > 0 (no spread, or one that underflows) falls back.
+        widths = WIDTH_FRACTION * np.ptp(archive.objectives, axis=0)
+        widths = np.where(np.isfinite(widths), widths,
+                          np.ptp(WIDTH_FRACTION * archive.objectives, axis=0))
+        return ScalarizationState("random_epsilon_constraint", target=target, epsilons=anchor,
+                                  widths=np.where(widths > 0.0, widths, FALLBACK_WIDTH))
     raise ValueError(f"unknown acquisition kind {spec.kind!r}")
 
 
-def _random_weights(rng, n_objectives, kappa):
+def _random_weights(rng, n_objectives):
     e = rng.exponential(1.0, n_objectives)
-    return ScalarizationState("random_weight", weights=e / e.sum(), kappa=kappa)
+    return ScalarizationState("random_weight", weights=e / e.sum())
 
 
-def scalarize(state: ScalarizationState, f: np.ndarray, sigma: np.ndarray | None = None) -> float:
-    """Collapse an objective vector (and optional uncertainties) to a scalar.
+def scalarize(state: ScalarizationState, f: np.ndarray) -> float:
+    """Collapse an objective vector to a scalar.
 
-    Weight kinds give ``w.f - kappa * w.sigma``; the epsilon-constraint
-    kind gives ``f[t] + RHO * sum_j w_j * log(1 + exp((f[j] - eps[j]) / w_j))``
+    Weight kinds give ``w.f``; the epsilon-constraint kind gives
+    ``f[t] + RHO * sum_j w_j * log(1 + exp((f[j] - eps[j]) / w_j))``
     over the non-target objectives, with ``w`` the state's widths: a
     hinge ``max(f[j] - eps[j], 0)`` smoothed over about ``w_j``.
     """
-    f = np.asarray(f, dtype=float)
-    value = float(scalarize_rows(state, f[None])[0])
-    if state.weights is not None and state.kappa != 0.0 and sigma is not None:
-        value -= state.kappa * float(state.weights @ sigma)
-    return value
+    return float(scalarize_rows(state, np.asarray(f, dtype=float)[None])[0])
 
 
 def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
@@ -122,7 +115,7 @@ def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
 
 
 def scalarize_rows(state: ScalarizationState, objs: np.ndarray) -> np.ndarray:
-    """``scalarize`` of each row of ``objs`` (uncertainty zero): one state's ``scalarize_stack``."""
+    """``scalarize`` of each row of ``objs``: one state's ``scalarize_stack``."""
     objs = np.asarray(objs, dtype=float)
     return scalarize_stack(stack_states([state], objs.shape[1]),
                            np.zeros(len(objs), dtype=np.intp), objs)
@@ -161,7 +154,7 @@ def stack_states(states, n_objectives: int) -> ScalarizationStack:
 
 
 def scalarize_stack(stack: ScalarizationStack, slots: np.ndarray, objs: np.ndarray) -> np.ndarray:
-    """``scalarize`` (uncertainty zero) of each row ``objs[r]`` under state ``slots[r]``.
+    """``scalarize`` of each row ``objs[r]`` under state ``slots[r]``.
 
     One array pass over all rows.  ``vecdot`` takes the same dot product
     per row as ``w @ f`` does for one vector (a ``(B, o) @ (o,)`` product
@@ -182,9 +175,9 @@ def select_start(state: ScalarizationState, database: EvaluationDatabase,
                  penalty_lambda: float) -> int:
     """Index of the evaluated record to center this acquisition's solve on.
 
-    The best feasible record under the scalarization (uncertainty zero);
-    with nothing feasible, the best scalarized-plus-penalized-violation
-    record.  Ties go to the earliest record.
+    The best feasible record under the scalarization; with nothing
+    feasible, the best scalarized-plus-penalized-violation record.  Ties
+    go to the earliest record.
     """
     if len(database) == 0:
         raise ValueError("cannot select a start point from an empty database")

@@ -36,8 +36,8 @@ one array pass over the stacked states
 products: the scalarization's weight on each term times the term's
 output gradient gives one weight row per slot, and one
 ``RbfSurrogate.vjp_rows`` per model contracts them, so no Jacobian is
-formed.  Term ``grad``s, the design chain rule, finite differences and
-the ``kappa`` bonus run per slot.  ``solve`` is the one-slot case, and
+formed.  Term ``grad``s, the design chain rule and finite differences
+run per row.  ``solve`` is the one-slot case, and
 ``value``, ``value_rows`` and ``value_and_grad`` evaluate one slot
 through the same code, so there is one BFGS, one line search and one
 evaluation path.  A stacked row rounds by the rows it shares a matrix
@@ -55,7 +55,6 @@ import numpy as np
 from . import embedding
 from .acquisition import (
     ScalarizationState,
-    scalarize,
     scalarize_stack,
     scalarize_stack_gradient,
     stack_states,
@@ -82,7 +81,6 @@ class OptimizerConfig:
     #: decreases the value by no more than this also ends the iterations
     decrease_factor: float = 1e-8
     fd_step: float = 1e-6
-    kappa: float = 0.0
 
 
 def _real(value) -> bool:
@@ -105,8 +103,6 @@ def check_config(config: OptimizerConfig) -> OptimizerConfig:
         bad = "decrease_factor must be finite and >= 0"
     elif not (_real(config.fd_step) and 0.0 < config.fd_step < 0.5):
         bad = "fd_step must be in (0, 0.5)"
-    elif not _real(config.kappa):
-        bad = "kappa must be finite"
     if bad is not None:
         raise ValidationError(f"optimizer config: {bad}")
     return config
@@ -158,9 +154,6 @@ class SubproblemEvaluator:
             x[name] = float(lower + np.clip(z[offset], 0.0, 1.0) * span)
         return x
 
-    def _bonus(self):
-        return self.state.kappa != 0.0 and self.state.weights is not None
-
     def value_rows(self, points: np.ndarray) -> np.ndarray:
         """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
         points = np.asarray(points, dtype=float)
@@ -173,24 +166,6 @@ class SubproblemEvaluator:
         values, grads = _Stack([self]).values_and_grads(np.zeros(1, dtype=np.intp),
                                                         np.asarray(z, dtype=float)[None])
         return float(values[0]), grads[0]
-
-    def _uncertainty(self, z):
-        if not self.surrogates:
-            return np.empty(0)
-        return np.concatenate([s.uncertainty(z) for s in self.surrogates])
-
-    def _sigma(self, u):
-        # Uncertainty enters the scalarization per objective; objectives
-        # see the sim-output uncertainties only through their own reads,
-        # so expose a conservative uniform proxy: the max output spread.
-        return np.full(self.moop.o, float(u.max()) if u.size else 0.0)
-
-    def _sigma_jacobian(self, z, u):
-        if u.size == 0:
-            return np.zeros((self.moop.o, len(z)))
-        grads = np.vstack([s.uncertainty_gradient(z) for s in self.surrogates])
-        row = grads[int(np.argmax(u))]
-        return np.tile(row, (self.moop.o, 1))
 
     def _term_gradient(self, z, x, s, w, ds, dz):
         """Fill in the gradients of the terms at ``z`` that ``w`` weighs.
@@ -258,7 +233,6 @@ class _Stack:
         # declares that it reads the design.
         self._reads_design = any(spec.reads_design for spec in self.terms)
         self.scalarization = stack_states([ev.state for ev in evs], moop.o)
-        self._bonus = [i for i, ev in enumerate(evs) if ev._bonus()]
         # Per model position: its output columns, the distinct models
         # there, and the index of each slot's model among them.
         self._models, at = [], 0
@@ -325,18 +299,11 @@ class _Stack:
             return t[:, :o]
         return t[:, :o] + self.lam * np.maximum(t[:, o:], 0.0).sum(axis=1, keepdims=True)
 
-    def _bonus_rows(self, slots):
-        """(row, evaluator) for each row of a slot with an uncertainty bonus."""
-        return [(r, self.evs[i]) for i in self._bonus for r in np.flatnonzero(slots == i)]
-
     def values(self, slots, points):
         """The value at each latent row ``points[r]`` of slot ``slots[r]``."""
         preds = self._predict(slots, points)
-        f = self._penalize(self._terms(points, preds)[1])
-        values = scalarize_stack(self.scalarization, slots, f)
-        for r, ev in self._bonus_rows(slots):
-            values[r] = scalarize(ev.state, f[r], ev._sigma(ev._uncertainty(points[r])))
-        return values
+        return scalarize_stack(self.scalarization, slots,
+                               self._penalize(self._terms(points, preds)[1]))
 
     def values_and_grads(self, slots, points):
         """Values (B,) and gradients (B, l) at the rows ``points[r]`` of slots ``slots[r]``."""
@@ -356,10 +323,6 @@ class _Stack:
         for r, (i, weights) in enumerate(zip(slots, w.tolist())):
             self.evs[i]._term_gradient(points[r], designs[r], preds[r], weights, ds[r], grads[r])
         grads += self._vjp(slots, points, np.matmul(w[:, None], ds)[:, 0])
-        for r, ev in self._bonus_rows(slots):
-            u = ev._uncertainty(points[r])
-            values[r] = scalarize(ev.state, f[r], ev._sigma(u))
-            grads[r] -= ev.state.kappa * (ev.state.weights @ ev._sigma_jacobian(points[r], u))
         return values, grads
 
 

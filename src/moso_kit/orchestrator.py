@@ -29,7 +29,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class MoopSolver:
         self.checkpoint_path = checkpoint_path
         self.opt_config = optimizer.check_config(optimizer_config or optimizer.OptimizerConfig())
         self.database = EvaluationDatabase(self.moop.plan)
-        self.archive = ParetoArchive()  # of the database, as of the last ``iterate``
+        self.archive = ParetoArchive()  # of the database, as of the last ``iterate`` or ``solve``
         self.penalty = PenaltyState(self.moop.penalty.initial,
                                     self.moop.penalty.growth,
                                     self.moop.penalty.cap)
@@ -172,8 +172,7 @@ class MoopSolver:
 
         # Every slot refreshes and picks its start first; each draws from
         # its own RNG stream, so the order of the draws changes nothing.
-        states = [acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o,
-                              self.opt_config.kappa)
+        states = [acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o)
                   for i, spec in enumerate(self.moop.acquisitions)]
         starts = [acq.select_start(state, self.database, self.penalty.value)
                   for state in states]
@@ -303,7 +302,8 @@ class MoopSolver:
         The budget counts evaluation attempts: q0 for the initial design
         plus one per point proposed in each later iteration.  The run
         stops early when an iteration proposes no point at all (the
-        design space is exhausted).
+        design space is exhausted).  The result's archive is a copy of the
+        one the solver keeps, brought up to date with the last batch.
         """
         if budget < self.moop.q0:
             raise ValidationError(f"budget {budget} cannot cover the initial design "
@@ -322,7 +322,7 @@ class MoopSolver:
                 self.checkpoint_save(self.checkpoint_path)
         return SolveResult(
             database=self.database,
-            archive=ParetoArchive.from_records(self.database.records),
+            archive=replace(self.archive.update(self.database.records)),
             iterations=self.iteration,
             evaluations=self.evaluations,
         )

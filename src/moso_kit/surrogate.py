@@ -19,11 +19,10 @@ with the center norms cached at the build: one matrix product, one ``exp``
 and one product with the coefficients per block.  The exponent is
 clipped at zero, where cancellation near a center could make it
 positive.  ``evaluate`` is the one-row case.  The Jacobian and the
-uncertainty keep the difference form ``z - c``, which they need anyway;
-``gradient_rows`` gives the Jacobians at a block of rows, one per row
-exactly as ``gradient`` (its one-row case) computes it.  The inner solve
-needs only vector-Jacobian products, and ``vjp_rows`` gives them from
-the expansion-form kernel without forming any Jacobian.
+uncertainty keep the difference form ``z - c``, which they need anyway,
+at one point.  The inner solve needs only vector-Jacobian products, and
+``vjp_rows`` gives them at a block of rows from the expansion-form
+kernel without forming any Jacobian.
 """
 
 from __future__ import annotations
@@ -218,16 +217,10 @@ class RbfSurrogate:
         """Predicted outputs at a latent point."""
         return self.evaluate_rows(np.asarray(z, dtype=float)[None])[0]
 
-    def gradient_rows(self, points: np.ndarray) -> np.ndarray:
-        """Jacobians (B, output_dim, latent_dim) at the latent rows of ``points``."""
-        diffs = np.asarray(points, dtype=float)[:, None, :] - self.centers
-        k = np.exp(-(self.eps ** 2) * np.einsum("bij,bij->bi", diffs, diffs))
-        dk = (-2.0 * self.eps ** 2) * (k[:, :, None] * diffs)
-        return self.coef.T @ dk
-
     def gradient(self, z: np.ndarray) -> np.ndarray:
         """Jacobian (output_dim, latent_dim) of the prediction."""
-        return self.gradient_rows(np.asarray(z, dtype=float)[None])[0]
+        k, diffs = self._kvec(z)
+        return self.coef.T @ ((-2.0 * self.eps ** 2) * (k[:, None] * diffs))
 
     def vjp_rows(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``weights[b] @ gradient(points[b])`` for every row: (B, latent_dim).

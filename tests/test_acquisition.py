@@ -119,6 +119,20 @@ def test_epsilon_widths_are_a_fraction_of_the_archive_spread():
                           [WIDTH_FRACTION * 2.0, WIDTH_FRACTION * 30.0, FALLBACK_WIDTH])
 
 
+@pytest.mark.parametrize("objectives, want", [
+    # The spread of 3e308 overflows; that of the scaled objectives does not.
+    ([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]], [2.0 * WIDTH_FRACTION * 1.5e308] * 2),
+    # A spread of 1e-322 is finite, but its fraction rounds to zero.
+    ([[0.0, 1e-322], [1e-322, 0.0]], [FALLBACK_WIDTH] * 2),
+])
+def test_epsilon_widths_of_a_spread_that_overflows_or_underflows(objectives, want):
+    archive = ParetoArchive(designs=[{"x": 0.25}, {"x": 0.75}], objectives=np.array(objectives))
+    with np.errstate(over="ignore"):
+        state = refresh(AcquisitionSpec("random_epsilon_constraint"), archive,
+                        np.random.default_rng(0), 2)
+    np.testing.assert_allclose(state.widths, want, rtol=1e-15)
+
+
 def test_epsilon_with_empty_archive_falls_back_to_random_weights():
     spec = AcquisitionSpec("random_epsilon_constraint")
     empty = ParetoArchive(designs=[], objectives=np.empty((0, 0)))
@@ -156,13 +170,6 @@ def test_penalty_widths_must_be_finite_and_positive(widths):
     with pytest.raises(ValueError, match="widths"):
         ScalarizationState("random_epsilon_constraint", target=0,
                            epsilons=np.array([0.0, 1.0]), widths=np.array(widths))
-
-
-def test_scalarize_uncertainty_bonus():
-    state = ScalarizationState("fixed_weight", weights=np.array([0.5, 0.5]),
-                               kappa=2.0)
-    value = scalarize(state, np.array([1.0, 3.0]), sigma=np.array([1.0, 1.0]))
-    assert value == pytest.approx(0.0)
 
 
 def test_weight_scalarizations_are_monotone_in_objectives():

@@ -198,19 +198,6 @@ def test_iteration_budget_respected():
     assert outcome.iterations <= 3
 
 
-def test_uncertainty_bonus_changes_value():
-    moop = make_moop(sim_dim=1)
-    pts = np.array([[0.2], [0.8]])
-    model = RbfSurrogate.fit(pts, np.array([[1.0], [3.0]]))
-    z = np.array([0.5])
-    plain = ScalarizationState("fixed_weight", weights=np.array([1.0]))
-    bonus = ScalarizationState("fixed_weight", weights=np.array([1.0]), kappa=5.0)
-    v0, _ = SubproblemEvaluator(moop, plain, [model], lam=1.0).value_and_grad(z)
-    v1, _ = SubproblemEvaluator(moop, bonus, [model], lam=1.0,
-                                config=OptimizerConfig(kappa=5.0)).value_and_grad(z)
-    assert v1 < v0
-
-
 def counted_objective(name, func, grad, calls):
     def counted(x, s):
         calls[0] += 1
@@ -361,7 +348,7 @@ def test_epsilon_constraint_value_skips_the_unused_uncertainty(monkeypatch):
     pts = np.array([[0.2], [0.8]])
     model = RbfSurrogate.fit(pts, np.array([[1.0, 3.0], [2.0, 0.5]]))
     state = ScalarizationState("random_epsilon_constraint", target=0,
-                               epsilons=np.array([0.0, 1.0]), kappa=2.0)
+                               epsilons=np.array([0.0, 1.0]))
     ev = SubproblemEvaluator(moop, state, [model], lam=1.0)
     calls = count_calls(monkeypatch, RbfSurrogate, "uncertainty")
     z = np.array([0.5])
@@ -421,50 +408,6 @@ def test_design_reading_terms_receive_the_extracted_design(reader):
     assert seen[0] == want and seen[1] == want
 
 
-def test_uncertainty_bonus_gradient_computes_each_uncertainty_once(monkeypatch):
-    moop = make_moop(
-        n_vars=2,
-        sim_dim=2,
-        objectives=[identity_objective("f1", 0), identity_objective("f2", 1)],
-    )
-    rng = np.random.default_rng(14)
-    pts = rng.uniform(0.0, 1.0, (8, 2))
-    models = [RbfSurrogate.fit(pts, np.sin(3 * pts[:, :1])),
-              RbfSurrogate.fit(pts, (pts[:, 1:] - 0.5) ** 2)]
-    w = np.array([0.3, 0.7])
-    kappa = 5.0
-    state = ScalarizationState("fixed_weight", weights=w, kappa=kappa)
-    ev = SubproblemEvaluator(moop, state, models, lam=1.0, config=OptimizerConfig(kappa=kappa))
-    z = np.array([0.35, 0.6])
-
-    # The value and gradient the terms define, in the evaluator's order:
-    # one vector-Jacobian product per model, then the bonus.
-    f = np.concatenate([m.evaluate(z) for m in models])
-    u = np.concatenate([m.uncertainty(z) for m in models])
-    sigma = np.full(2, float(u.max()))
-    value = float(w @ f) - kappa * float(w @ sigma)
-    row = np.vstack([m.uncertainty_gradient(z) for m in models])[int(np.argmax(u))]
-    grad = models[0].vjp_rows(z[None], w[None, :1])[0] + models[1].vjp_rows(z[None], w[None, 1:])[0]
-    grad -= kappa * (w @ np.tile(row, (2, 1)))
-
-    calls = count_calls(monkeypatch, RbfSurrogate, "uncertainty")
-    got_value, got_grad = ev.value_and_grad(z)
-    assert calls[0] == len(models)
-    assert got_value == value
-    np.testing.assert_array_equal(got_grad, grad)
-
-
-def test_uncertainty_bonus_without_simulations_is_zero():
-    moop = make_moop(n_vars=2, objectives=[quadratic_objective([0.7, 0.2])])
-    state = ScalarizationState("fixed_weight", weights=np.array([1.0]), kappa=2.0)
-    ev = SubproblemEvaluator(moop, state, [], lam=1.0, config=OptimizerConfig(kappa=2.0))
-    z = np.array([0.3, 0.6])
-    value, grad = ev.value_and_grad(z)
-    plain_value, plain_grad = SubproblemEvaluator(moop, weighted(1.0), [], lam=1.0).value_and_grad(z)
-    assert ev.value(z) == value == plain_value
-    np.testing.assert_array_equal(grad, plain_grad)
-
-
 def active_constraint_landscape():
     """Three simulation outputs over three variables, fitted by one global model."""
     rng = np.random.default_rng(23)
@@ -487,7 +430,7 @@ def test_value_and_grad_value_is_value_with_every_constraint_active():
     rng, model = active_constraint_landscape()
     states = [weighted(0.3, 0.7),
               ScalarizationState("random_epsilon_constraint", target=1,
-                                 epsilons=np.array([0.2, 0.0]), kappa=0.0)]
+                                 epsilons=np.array([0.2, 0.0]))]
     for state in states:
         ev = SubproblemEvaluator(moop, state, [model], lam=1.7)
         for _ in range(20):
@@ -532,13 +475,11 @@ def test_value_is_the_one_row_case_of_value_rows():
                      sum_of_squares_constraint("g2", [1, 2], 0.5)],
     )
     rng, model = active_constraint_landscape()
-    states = [(weighted(0.3, 0.7), OptimizerConfig()),
-              (ScalarizationState("random_epsilon_constraint", target=1,
-                                  epsilons=np.array([0.2, 0.0])), OptimizerConfig()),
-              (ScalarizationState("fixed_weight", weights=np.array([0.6, 0.4]), kappa=2.0),
-               OptimizerConfig(kappa=2.0))]
-    for state, config in states:
-        ev = SubproblemEvaluator(moop, state, [model], lam=1.7, config=config)
+    states = [weighted(0.3, 0.7),
+              ScalarizationState("random_epsilon_constraint", target=1,
+                                 epsilons=np.array([0.2, 0.0]))]
+    for state in states:
+        ev = SubproblemEvaluator(moop, state, [model], lam=1.7)
         block = rng.uniform(0.0, 1.0, (9, 3))
         values = ev.value_rows(block)
         for z, v in zip(block, values):
@@ -670,7 +611,10 @@ def lockstep_slots(rng):
     """A problem and (state, start, region) slots of every scalarization kind.
 
     Its terms include active and inactive constraints, gradless terms and
-    terms that read the design.
+    terms that read the design.  The fixed weights are scaled down, as a
+    problem may declare them: their first step stays inside the region,
+    so those slots take several BFGS iterations where the others mostly
+    stop at a corner after one.
     """
     moop = make_moop(
         n_vars=3,
@@ -687,10 +631,9 @@ def lockstep_slots(rng):
     for i in range(12):
         kind = i % 4
         if kind == 0:
-            state = weighted(*rng.dirichlet([1.0, 1.0]))
+            state = weighted(*(rng.dirichlet([1.0, 1.0]) * rng.uniform(0.05, 0.3)))
         elif kind == 1:
-            state = ScalarizationState("random_weight", weights=rng.dirichlet([1.0, 1.0]),
-                                       kappa=float(rng.uniform(0.5, 3.0)))
+            state = ScalarizationState("random_weight", weights=rng.dirichlet([1.0, 1.0]))
         else:
             state = ScalarizationState("random_epsilon_constraint", target=kind - 2,
                                        epsilons=rng.uniform(0.0, 1.0, 2))

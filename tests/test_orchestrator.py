@@ -361,6 +361,13 @@ def test_archive_empty_when_nothing_is_feasible():
     assert len(result.archive) == 0
 
 
+def assert_archive_is_a_rebuild(archive, records):
+    want = ParetoArchive.from_records(records)
+    assert archive.seen == want.seen == len(records)
+    assert archive.designs == want.designs
+    assert np.array_equal(archive.objectives, want.objectives)
+
+
 class ArchiveChecked(MoopSolver):
     """Asserts after every proposal that the kept archive is a fresh rebuild's equal."""
 
@@ -369,10 +376,7 @@ class ArchiveChecked(MoopSolver):
     def iterate(self, k):
         batch = super().iterate(k)
         if k > 0:
-            want = ParetoArchive.from_records(self.database.records)
-            assert self.archive.seen == want.seen == len(self.database)
-            assert self.archive.designs == want.designs
-            assert np.array_equal(self.archive.objectives, want.objectives)
+            assert_archive_is_a_rebuild(self.archive, self.database.records)
             self.checked += 1
         return batch
 
@@ -394,6 +398,49 @@ def test_kept_archive_matches_a_rebuild_after_every_iteration_and_resume(tmp_pat
     assert len(resumed.archive) == 0 and resumed.archive.seen == 0
     assert_same_run(straight, resumed.solve(31))
     assert (first.checked, resumed.checked) == (3, 4)
+
+
+def test_result_archive_is_a_snapshot_of_the_kept_one(tmp_path):
+    # Infeasible records (x < 0.2) go in between feasible ones.
+    def moop():
+        return bowl_moop(q0=10, seed=8, constraints=[
+            sum_of_squares_constraint("not_too_low", [1], cap=0.36)])
+
+    path = tmp_path / "state.json"
+    solver = MoopSolver(moop(), checkpoint_path=str(path))
+    first = solver.solve(19)
+    records = list(first.database.records)
+    assert_archive_is_a_rebuild(first.archive, records)
+    # A resumed solver whose budget is spent runs no iteration, and still
+    # returns the whole archive.
+    resumed = MoopSolver.checkpoint_load(str(path), moop())
+    assert len(resumed.archive) == 0
+    spent = resumed.solve(19)
+    assert spent.iterations == first.iterations
+    assert_archive_is_a_rebuild(spent.archive, spent.database.records)
+    # A later solve of the same solver leaves the first result's archive as it was.
+    second = solver.solve(31)
+    assert len(second.database) > len(records)
+    assert_archive_is_a_rebuild(second.archive, second.database.records)
+    assert_archive_is_a_rebuild(first.archive, records)
+
+
+@pytest.mark.parametrize("scale", [1.5e308, 1e-322])
+def test_objectives_whose_archive_spread_overflows_or_underflows_are_solved(scale):
+    # Identity objectives in [-scale, scale]: their spread overflows to
+    # inf at 1.5e308, and a hundredth of it rounds to zero at 1e-322.
+    moop = MoopDefinition(
+        variables=[DesignVariable("x", "continuous", 0.0, 1.0)],
+        simulations=[SimulationSpec("pair", 2,
+                                    lambda d: np.array([2.0 * d["x"] - 1.0, 1.0 - 2.0 * d["x"]]),
+                                    search=SearchConfig(q0=8))],
+        objectives=[identity_objective("f1", 0, scale), identity_objective("f2", 1, scale)],
+        acquisitions=[AcquisitionSpec("random_epsilon_constraint")] * 2,
+    )
+    with np.errstate(all="ignore"):
+        result = MoopSolver(moop).solve(20)
+    assert result.evaluations == 20
+    assert len(result.archive) > 1
 
 
 def dtlz2_small():
@@ -824,7 +871,6 @@ def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
     ("grad_tol", -1e-8), ("grad_tol", float("inf")),
     ("decrease_factor", float("nan")), ("decrease_factor", -1.0),
     ("fd_step", 0.0), ("fd_step", 0.5), ("fd_step", float("nan")), ("fd_step", "1e-6"),
-    ("kappa", float("nan")), ("kappa", float("-inf")),
 ])
 def test_bad_optimizer_config_is_rejected_before_any_simulation(tmp_path, field, value):
     calls = []
@@ -842,6 +888,6 @@ def test_bad_optimizer_config_is_rejected_before_any_simulation(tmp_path, field,
 
 def test_edge_optimizer_configs_are_accepted():
     for config in (OptimizerConfig(max_iterations=0, grad_tol=0.0, decrease_factor=0.0),
-                   OptimizerConfig(armijo_c=0.5, fd_step=0.25, kappa=-2.0),
-                   OptimizerConfig(max_iterations=np.int64(5), kappa=np.float64(1.0))):
+                   OptimizerConfig(armijo_c=0.5, fd_step=0.25),
+                   OptimizerConfig(max_iterations=np.int64(5), grad_tol=np.float64(1e-6))):
         assert MoopSolver(bowl_moop(), optimizer_config=config).opt_config is config
