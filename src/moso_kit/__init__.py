@@ -18,7 +18,6 @@ from .metrics import (
     nondominated_filter,
     pct_hv_improvement,
 )
-from .optimizer import OptimizerConfig
 from .orchestrator import CheckpointError, MoopSolver, SolveResult, problem_fingerprint
 from .problem import (
     AcquisitionSpec,
@@ -65,7 +64,6 @@ __all__ = [
     "MoopSolver",
     "MosoError",
     "ObjectiveSpec",
-    "OptimizerConfig",
     "ParetoArchive",
     "PenaltyConfig",
     "RbfSurrogate",

@@ -11,7 +11,7 @@ through the surrogates and the objective/constraint gradients, with a
 forward finite-difference fallback on the latent cube for anything that
 does not supply one.  The solve itself is a projected BFGS with Armijo
 backtracking.  It stops once an accepted step stops paying: when it
-lowers the value by no more than ``decrease_factor`` relative to the
+lowers the value by no more than ``DECREASE_FACTOR`` relative to the
 new value (the relative-reduction test of L-BFGS-B), or by no more than
 ``MIN_PROGRESS`` of the slot's total decrease so far.  The second test
 does not depend on the scale of the values, and ends a solve whose
@@ -27,23 +27,27 @@ needed, later blocks ``TRIAL_BLOCK``, and the first trial in sequence
 order that passes is accepted, so blocks change which points are
 evaluated, not which one is taken.
 
-Each slot has its own scalarization and its own models: a local refit,
-or the global ones.  A sub-round predicts its rows with one
-``evaluate_rows`` per model, calls each term's row form (or its
-``func`` per row) once, adds the penalty, and scalarizes every row in
-one array pass over the stacked states
-(``acquisition.scalarize_stack``).  Gradients are vector-Jacobian
+One ``_Stack`` holds every slot of the batch.  Each slot has its own
+scalarization and its own models: a local refit, or the global ones.
+A sub-round predicts its rows with one ``evaluate_rows`` per model,
+calls each term's row form (or its ``func`` per row) once, adds the
+penalty, and scalarizes every row in one array pass over the stacked
+states (``acquisition.scalarize_stack``).  Gradients are vector-Jacobian
 products: the scalarization's weight on each term times the term's
 output gradient gives one weight row per slot, and one
 ``RbfSurrogate.vjp_rows`` per model contracts them, so no Jacobian is
 formed.  Term ``grad``s, the design chain rule and finite differences
-run per row.  ``solve`` is the one-slot case, and
-``value``, ``value_rows`` and ``value_and_grad`` evaluate one slot
+run per row; a finite difference predicts one row at a time with its
+slot's models.  ``solve`` is the one-slot case, and
+``SubproblemEvaluator``, the one-slot stack, evaluates one slot
 through the same code, so there is one BFGS, one line search and one
 evaluation path.  A stacked row rounds by the rows it shares a matrix
 product with, so stacking changes the last bits of the values, not the
-logic.  ``check_config`` rejects an ``OptimizerConfig`` that would
-make every inner solve degenerate.
+logic.
+
+The inner solve has no settings.  Its constants below are module
+attributes read at call time, and are part of the search: a resumed
+run solves with the same ones.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .acquisition import (
     scalarize_stack_gradient,
     stack_states,
 )
-from .problem import Moop, ValidationError
+from .problem import Moop
 from .surrogate import TrustRegion
 
 #: Backtracking trials per BFGS iteration, at most.
@@ -69,43 +73,18 @@ TRIAL_BLOCK = 8
 #: An accepted step that lowers a slot's value by no more than this
 #: fraction of its total decrease so far ends the slot's solve.
 MIN_PROGRESS = 1e-3
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iterations: int = 100
-    armijo_c: float = 1e-4
-    grad_tol: float = 1e-8
-    #: relative decrease needed to return a candidate instead of
-    #: requesting a model-improvement step; an accepted step that
-    #: decreases the value by no more than this also ends the iterations
-    decrease_factor: float = 1e-8
-    fd_step: float = 1e-6
-
-
-def _real(value) -> bool:
-    """True for a finite int or float that is not a bool."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, (bool, np.bool_)) and bool(np.isfinite(value)))
-
-
-def check_config(config: OptimizerConfig) -> OptimizerConfig:
-    """``config`` when every field is usable, else a ValidationError naming the first bad one."""
-    bad = None
-    if (not isinstance(config.max_iterations, (int, np.integer))
-            or isinstance(config.max_iterations, bool) or config.max_iterations < 0):
-        bad = "max_iterations must be an integer >= 0"
-    elif not (_real(config.armijo_c) and 0.0 < config.armijo_c < 1.0):
-        bad = "armijo_c must be in (0, 1)"
-    elif not (_real(config.grad_tol) and config.grad_tol >= 0.0):
-        bad = "grad_tol must be finite and >= 0"
-    elif not (_real(config.decrease_factor) and config.decrease_factor >= 0.0):
-        bad = "decrease_factor must be finite and >= 0"
-    elif not (_real(config.fd_step) and 0.0 < config.fd_step < 0.5):
-        bad = "fd_step must be in (0, 0.5)"
-    if bad is not None:
-        raise ValidationError(f"optimizer config: {bad}")
-    return config
+#: BFGS iterations per slot's solve, at most.
+MAX_ITERATIONS = 100
+#: Sufficient-decrease constant of the Armijo line search.
+ARMIJO_C = 1e-4
+#: A projected gradient no longer than this ends a slot's solve.
+GRAD_TOL = 1e-8
+#: Relative decrease needed to return a candidate instead of requesting
+#: a model-improvement step; an accepted step that decreases the value
+#: by no more than this also ends the iterations.
+DECREASE_FACTOR = 1e-8
+#: Forward-difference step on the latent cube, for terms without a gradient.
+FD_STEP = 1e-6
 
 
 @dataclass
@@ -116,17 +95,20 @@ class SolveOutcome:
     iterations: int
 
 
-class SubproblemEvaluator:
-    """Penalized scalarized surrogate landscape over the latent box, for one slot."""
+class _Stack:
+    """The slots of one batch, evaluated over latent rows tagged by slot.
 
-    def __init__(self, moop: Moop, state: ScalarizationState, surrogates,
-                 lam: float, config: OptimizerConfig = OptimizerConfig()):
-        self.moop = moop
-        self.plan = moop.plan
-        self.state = state
-        self.surrogates = tuple(surrogates)
-        self.lam = lam
-        self.config = config
+    Slot i scores under ``states[i]`` with the models ``surrogates[i]``.
+    The slots share the problem and ``lam``, and slots that share a model
+    object have their rows predicted together.
+    """
+
+    def __init__(self, moop: Moop, states, surrogates, lam: float):
+        self.moop, self.lam = moop, lam
+        self.plan, self.terms = moop.plan, moop.objectives + moop.constraints
+        # Extraction runs at every trial point, so skip it when no term
+        # declares that it reads the design.
+        self._reads_design = any(spec.reads_design for spec in self.terms)
         # Latent coordinates that extract differentiably: continuous slots.
         self._chain = [
             (self.plan.variables[vi].name, offset,
@@ -135,113 +117,16 @@ class SubproblemEvaluator:
             for vi, offset, width in self.plan.numeric_slots
             if self.plan.variables[vi].kind == "continuous"
         ]
-        self.terms = moop.objectives + moop.constraints
-
-    def _predict(self, z):
-        if not self.surrogates:
-            return np.empty(0)
-        return np.concatenate([s.evaluate(z) for s in self.surrogates])
-
-    def _smooth_design(self, z, base):
-        """Extraction with only the continuous coordinates live.
-
-        Integer, categorical, and custom values stay frozen at ``base``
-        so finite differences never step across a snapping boundary;
-        their relaxed derivative is zero anyway.
-        """
-        x = dict(base)
-        for name, offset, span, lower in self._chain:
-            x[name] = float(lower + np.clip(z[offset], 0.0, 1.0) * span)
-        return x
-
-    def value_rows(self, points: np.ndarray) -> np.ndarray:
-        """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
-        points = np.asarray(points, dtype=float)
-        return _Stack([self]).values(np.zeros(len(points), dtype=np.intp), points)
-
-    def value(self, z: np.ndarray) -> float:
-        return float(self.value_rows(np.asarray(z, dtype=float)[None])[0])
-
-    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        values, grads = _Stack([self]).values_and_grads(np.zeros(1, dtype=np.intp),
-                                                        np.asarray(z, dtype=float)[None])
-        return float(values[0]), grads[0]
-
-    def _term_gradient(self, z, x, s, w, ds, dz):
-        """Fill in the gradients of the terms at ``z`` that ``w`` weighs.
-
-        ``x`` is the design at ``z`` and ``s`` the prediction; ``w`` is
-        each term's weight, and a term of weight zero is skipped.  Row j
-        of ``ds`` (terms, m) receives term j's output partials, for the
-        surrogates' vector-Jacobian products; ``dz`` (l,) accumulates the
-        weighted design partials through the chain rule, plus the finite
-        differences of the gradless terms.
-        """
-        fd_rows = []
-        for j, (spec, weight) in enumerate(zip(self.terms, w)):
-            if weight == 0.0:
-                continue
-            if spec.grad is None:
-                fd_rows.append(j)
-                continue
-            dx, ds[j] = spec.grad(x, s)
-            if dx:
-                for name, offset, span, lower in self._chain:
-                    partial = dx.get(name)
-                    if partial:
-                        dz[offset] += weight * partial * span
-        if fd_rows:
-            dz += np.asarray(w)[fd_rows] @ self._fd_rows(z, x, fd_rows)
-
-    def _fd_rows(self, z, x, rows):
-        """Forward differences (len(rows), l) on the latent cube for the gradless ``rows``.
-
-        The base values come from a one-point prediction at ``z`` like the
-        stepped ones, not from the stacked block: a row's rounding depends
-        on the rows it shares a block with, and a difference over ``h``
-        magnifies it.
-        """
-        h = self.config.fd_step
-        s = self._predict(z)
-        base = [self.terms[j].func(x, s) for j in rows]
-        jac = np.empty((len(rows), len(z)))
-        for i in range(len(z)):
-            step = h if z[i] + h <= 1.0 else -h
-            z2 = z.copy()
-            z2[i] += step
-            x2 = self._smooth_design(z2, x)
-            s2 = self._predict(z2)
-            for r, j in enumerate(rows):
-                jac[r, i] = (self.terms[j].func(x2, s2) - base[r]) / step
-        return jac
-
-
-class _Stack:
-    """The slots of one batch, evaluated over latent rows tagged by slot.
-
-    ``evs`` holds one evaluator per slot.  They share the problem and
-    ``lam``; each has its own scalarization and models, and slots that
-    share a model object have their rows predicted together.
-    """
-
-    def __init__(self, evs):
-        self.evs = evs
-        moop = evs[0].moop
-        self.moop, self.lam = moop, evs[0].lam
-        self.plan, self.terms = moop.plan, evs[0].terms
-        # Extraction runs at every trial point, so skip it when no term
-        # declares that it reads the design.
-        self._reads_design = any(spec.reads_design for spec in self.terms)
-        self.scalarization = stack_states([ev.state for ev in evs], moop.o)
+        self.scalarization = stack_states(states, moop.o)
         # Per model position: its output columns, the distinct models
         # there, and the index of each slot's model among them.
         self._models, at = [], 0
-        for k, first in enumerate(evs[0].surrogates):
-            models, label, index = [], np.empty(len(evs), dtype=np.intp), {}
-            for i, ev in enumerate(evs):
-                label[i] = index.setdefault(id(ev.surrogates[k]), len(index))
+        for k, first in enumerate(surrogates[0]):
+            models, label, index = [], np.empty(len(surrogates), dtype=np.intp), {}
+            for i, slot_models in enumerate(surrogates):
+                label[i] = index.setdefault(id(slot_models[k]), len(index))
                 if label[i] == len(models):
-                    models.append(ev.surrogates[k])
+                    models.append(slot_models[k])
             self._models.append((slice(at, at + first.output_dim), models, label))
             at += first.output_dim
         self._outputs = at
@@ -274,6 +159,18 @@ class _Stack:
             grad[rows] += model.vjp_rows(points[rows], weights[rows, cols])
         return grad
 
+    def _smooth_design(self, z, base):
+        """Extraction with only the continuous coordinates live.
+
+        Integer, categorical, and custom values stay frozen at ``base``
+        so finite differences never step across a snapping boundary;
+        their relaxed derivative is zero anyway.
+        """
+        x = dict(base)
+        for name, offset, span, lower in self._chain:
+            x[name] = float(lower + np.clip(z[offset], 0.0, 1.0) * span)
+        return x
+
     def _terms(self, points, preds):
         """Designs and term values (B, terms) at the rows of ``points``.
 
@@ -299,6 +196,54 @@ class _Stack:
             return t[:, :o]
         return t[:, :o] + self.lam * np.maximum(t[:, o:], 0.0).sum(axis=1, keepdims=True)
 
+    def _term_gradient(self, slot, z, x, s, w, ds, dz):
+        """Fill in the gradients of the terms at slot ``slot``'s row ``z`` that ``w`` weighs.
+
+        ``x`` is the design at ``z`` and ``s`` the prediction; ``w`` is
+        each term's weight, and a term of weight zero is skipped.  Row j
+        of ``ds`` (terms, m) receives term j's output partials, for the
+        surrogates' vector-Jacobian products; ``dz`` (l,) accumulates the
+        weighted design partials through the chain rule, plus the finite
+        differences of the gradless terms.
+        """
+        fd_rows = []
+        for j, (spec, weight) in enumerate(zip(self.terms, w)):
+            if weight == 0.0:
+                continue
+            if spec.grad is None:
+                fd_rows.append(j)
+                continue
+            dx, ds[j] = spec.grad(x, s)
+            if dx:
+                for name, offset, span, lower in self._chain:
+                    partial = dx.get(name)
+                    if partial:
+                        dz[offset] += weight * partial * span
+        if fd_rows:
+            dz += np.asarray(w)[fd_rows] @ self._fd_rows(slot, z, x, fd_rows)
+
+    def _fd_rows(self, slot, z, x, rows):
+        """Forward differences (len(rows), l) on the latent cube for the gradless ``rows``.
+
+        The base values come from a one-row prediction at ``z`` by the
+        slot's models, like the stepped ones, not from the stacked block:
+        a row's rounding depends on the rows it shares a block with, and a
+        difference over ``h`` magnifies it.
+        """
+        h, slot = FD_STEP, np.array([slot])
+        s = self._predict(slot, z[None])[0]
+        base = [self.terms[j].func(x, s) for j in rows]
+        jac = np.empty((len(rows), len(z)))
+        for i in range(len(z)):
+            step = h if z[i] + h <= 1.0 else -h
+            z2 = z.copy()
+            z2[i] += step
+            x2 = self._smooth_design(z2, x)
+            s2 = self._predict(slot, z2[None])[0]
+            for r, j in enumerate(rows):
+                jac[r, i] = (self.terms[j].func(x2, s2) - base[r]) / step
+        return jac
+
     def values(self, slots, points):
         """The value at each latent row ``points[r]`` of slot ``slots[r]``."""
         preds = self._predict(slots, points)
@@ -320,13 +265,33 @@ class _Stack:
         if self.moop.p:
             w[:, o:] = np.where(t[:, o:] > 0.0, self.lam * w[:, :o].sum(axis=1)[:, None], 0.0)
         ds, grads = np.zeros((*t.shape, self._outputs)), np.zeros(points.shape)
-        for r, (i, weights) in enumerate(zip(slots, w.tolist())):
-            self.evs[i]._term_gradient(points[r], designs[r], preds[r], weights, ds[r], grads[r])
+        for r, (slot, weights) in enumerate(zip(slots, w.tolist())):
+            self._term_gradient(slot, points[r], designs[r], preds[r], weights, ds[r], grads[r])
         grads += self._vjp(slots, points, np.matmul(w[:, None], ds)[:, 0])
         return values, grads
 
 
-def _line_search(stack, slots, z, f, g, d, lo, hi, armijo_c, first_block):
+class SubproblemEvaluator(_Stack):
+    """Penalized scalarized surrogate landscape over the latent box, for one slot."""
+
+    def __init__(self, moop: Moop, state: ScalarizationState, surrogates, lam: float):
+        super().__init__(moop, [state], [surrogates], lam)
+
+    def value_rows(self, points: np.ndarray) -> np.ndarray:
+        """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
+        points = np.asarray(points, dtype=float)
+        return self.values(np.zeros(len(points), dtype=np.intp), points)
+
+    def value(self, z: np.ndarray) -> float:
+        return float(self.value_rows(np.asarray(z, dtype=float)[None])[0])
+
+    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        values, grads = self.values_and_grads(np.zeros(1, dtype=np.intp),
+                                              np.asarray(z, dtype=float)[None])
+        return float(values[0]), grads[0]
+
+
+def _line_search(stack, slots, z, f, g, d, lo, hi, first_block):
     """Armijo backtracking along ``alpha = 2**-j`` for ``j < MAX_TRIALS``, for every row.
 
     Row i searches from ``z[i]`` (value ``f[i]``, gradient ``g[i]``)
@@ -355,7 +320,7 @@ def _line_search(stack, slots, z, f, g, d, lo, hi, armijo_c, first_block):
         tried = k < n[:, None]
         values = np.full(tried.shape, np.nan)
         values[tried] = stack.values(slots.repeat(n), trials[tried])
-        passed = values <= f + armijo_c * np.vecdot(steps, g)
+        passed = values <= f + ARMIJO_C * np.vecdot(steps, g)
         hit = passed.any(axis=1)
         if hit.any():
             at = passed.argmax(axis=1)[hit]
@@ -368,8 +333,7 @@ def _line_search(stack, slots, z, f, g, d, lo, hi, armijo_c, first_block):
     return accepted, z_new, f_new, count
 
 
-def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
-                config: OptimizerConfig = OptimizerConfig()) -> list[SolveOutcome]:
+def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float) -> list[SolveOutcome]:
     """``solve`` for several slots at once, with their BFGS state in stacked arrays.
 
     Slot i minimizes under ``states[i]``, with the models
@@ -381,8 +345,7 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
     """
     if not len(states):
         return []
-    stack = _Stack([SubproblemEvaluator(moop, state, models, lam, config)
-                    for state, models in zip(states, surrogates)])
+    stack = _Stack(moop, states, surrogates, lam)
     lo, hi = (np.array(b) for b in zip(*(region.bounds() for region in regions)))
     z = np.clip(np.asarray(starts, dtype=float), lo, hi)
     n_slots, dim = z.shape
@@ -403,10 +366,10 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
         return tuple(a[~done] for a in live)
 
     live = slots, z, f, g, h_inv, lo, hi, first_block
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         slots, z, f, g, h_inv, lo, hi, first_block = live
         pg = z - np.clip(z - g, lo, hi)
-        live = retire(live, np.sqrt(np.vecdot(pg, pg)) <= config.grad_tol)
+        live = retire(live, np.sqrt(np.vecdot(pg, pg)) <= GRAD_TOL)
         slots, z, f, g, h_inv, lo, hi, first_block = live
         if not slots.size:
             break
@@ -418,10 +381,10 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
             d[uphill] = -g[uphill]
 
         accepted, z_new, f_new, count = _line_search(stack, slots, z, f, g, d, lo, hi,
-                                                     config.armijo_c, first_block)
+                                                     first_block)
         first_block[accepted] = count[accepted] + 1
         gain = f - f_new
-        small = accepted & ((gain <= config.decrease_factor * np.maximum(1.0, np.abs(f_new)))
+        small = accepted & ((gain <= DECREASE_FACTOR * np.maximum(1.0, np.abs(f_new)))
                             | (gain <= MIN_PROGRESS * (f_start[slots] - f_new)))
         z[small], f[small] = z_new[small], f_new[small]
         moving = accepted & ~small
@@ -441,7 +404,7 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
         live = retire(live, ~moving)
     retire(live, np.ones(len(live[0]), dtype=bool))
 
-    improved = final_f <= f_start - config.decrease_factor * np.maximum(1.0, np.abs(f_start))
+    improved = final_f <= f_start - DECREASE_FACTOR * np.maximum(1.0, np.abs(f_start))
     return [SolveOutcome(candidate=final_z[i].copy() if improved[i] else None,
                          value=float(final_f[i]), start_value=float(f_start[i]),
                          iterations=int(iterations[i]))
@@ -449,16 +412,16 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float,
 
 
 def solve(moop: Moop, state: ScalarizationState, surrogates, z_start, region: TrustRegion,
-          lam: float, config: OptimizerConfig = OptimizerConfig()) -> SolveOutcome:
+          lam: float) -> SolveOutcome:
     """Projected BFGS over the trust-region box.
 
     Iterates until the projected gradient vanishes, the line search
-    fails, ``max_iterations`` is reached, or an accepted step lowers the
-    value by at most ``decrease_factor * max(1, |new value|)`` or by at
+    fails, ``MAX_ITERATIONS`` is reached, or an accepted step lowers the
+    value by at most ``DECREASE_FACTOR * max(1, |new value|)`` or by at
     most ``MIN_PROGRESS`` times the decrease from the start.  Returns
     a candidate when the final value improves on the start by at least
-    ``decrease_factor * max(1, |start|)``; otherwise the candidate is
+    ``DECREASE_FACTOR * max(1, |start|)``; otherwise the candidate is
     None and a model-improvement point should be generated instead.
     This is the one-slot case of ``solve_batch``.
     """
-    return solve_batch(moop, [state], [surrogates], [z_start], [region], lam, config)[0]
+    return solve_batch(moop, [state], [surrogates], [z_start], [region], lam)[0]

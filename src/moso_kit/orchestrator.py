@@ -13,12 +13,12 @@ each model together, so a global kernel system is factored only when
 some slot predicts with it; every refit of the iteration is alive until
 the batch returns.  The outcomes become batch points in slot order, and
 each slot draws from its own RNG stream, so the draws are those of
-slots run one after another.  The optimizer config is checked when the
-solver is built, before anything runs.  Results merge in batch order so
-runs are reproducible for any worker count, and the whole solver state
-(database, penalty, RNG streams) round-trips through checkpoints: a
-small JSON state file plus an append-only journal of one JSON line per
-record.
+slots run one after another.  The inner solve has no settings, so the
+problem, the seed and the streams fix every solve.  Results merge in
+batch order so runs are reproducible for any worker count, and the
+whole solver state (database, penalty, RNG streams) round-trips
+through checkpoints: a small JSON state file plus an append-only
+journal of one JSON line per record.
 """
 
 from __future__ import annotations
@@ -120,14 +120,12 @@ def problem_fingerprint(moop: Moop) -> str:
 class MoopSolver:
     """Drives one problem from initial design to exhausted budget."""
 
-    def __init__(self, moop, workers: int = 1, checkpoint_path=None,
-                 optimizer_config: optimizer.OptimizerConfig | None = None):
+    def __init__(self, moop, workers: int = 1, checkpoint_path=None):
         self.moop = validate(moop)
         if workers < 1:
             raise ValidationError("workers must be >= 1")
         self.workers = workers
         self.checkpoint_path = checkpoint_path
-        self.opt_config = optimizer.check_config(optimizer_config or optimizer.OptimizerConfig())
         self.database = EvaluationDatabase(self.moop.plan)
         self.archive = ParetoArchive()  # of the database, as of the last ``iterate`` or ``solve``
         self.penalty = PenaltyState(self.moop.penalty.initial,
@@ -189,7 +187,7 @@ class MoopSolver:
             slot_models.append(localized[start][1])
         outcomes = optimizer.solve_batch(
             self.moop, states, slot_models, [region.center for region in regions], regions,
-            self.penalty.value, self.opt_config)
+            self.penalty.value)
 
         for i, (outcome, region) in enumerate(zip(outcomes, regions)):
             point = None
@@ -380,7 +378,6 @@ class MoopSolver:
 
     @classmethod
     def checkpoint_load(cls, path, moop, workers: int = 1,
-                        optimizer_config: optimizer.OptimizerConfig | None = None,
                         checkpoint_path=None) -> "MoopSolver":
         """Rebuild a solver mid-run from a checkpoint of the same problem.
 
@@ -400,9 +397,7 @@ class MoopSolver:
             version = state["version"]
             if version != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint version {version}")
-            solver = cls(moop, workers=workers,
-                         checkpoint_path=checkpoint_path or path,
-                         optimizer_config=optimizer_config)
+            solver = cls(moop, workers=workers, checkpoint_path=checkpoint_path or path)
             if state["problem"] != problem_fingerprint(solver.moop):
                 raise CheckpointError("checkpoint was written for a different problem")
             solver.iteration = _count(state["iteration"], "iteration")

@@ -295,11 +295,15 @@ def validate(defn) -> Moop:
             if a.weights is None or len(a.weights) != o:
                 raise ValidationError(f"acquisition {i}: needs {o} weights")
             w = np.asarray(a.weights, dtype=float)
-            if (w < 0).any() or w.sum() <= 0:
-                raise ValidationError(f"acquisition {i}: weights must be nonnegative and not all zero")
+            if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+                raise ValidationError(
+                    f"acquisition {i}: weights must be finite, nonnegative and not all zero")
 
-    if defn.penalty.initial <= 0 or defn.penalty.growth < 1 or defn.penalty.cap < defn.penalty.initial:
-        raise ValidationError("penalty schedule must have initial > 0, growth >= 1, cap >= initial")
+    pen = defn.penalty
+    if (not np.isfinite([pen.initial, pen.growth, pen.cap]).all()
+            or pen.initial <= 0 or pen.growth < 1 or pen.cap < pen.initial):
+        raise ValidationError(
+            "penalty schedule must be finite, with initial > 0, growth >= 1, cap >= initial")
 
     plan = embedding.build_plan(tuple(defn.variables))
     return Moop(

@@ -173,6 +173,19 @@ def test_bad_simulation_delay_is_a_config_error(tmp_path, delay):
     assert "config error" in result.output
 
 
+def test_non_finite_penalty_is_a_config_error(tmp_path):
+    # json writes the float as the bare token Infinity, which json reads back.
+    cfg = small_config()
+    cfg["penalty"] = {"cap": float("inf")}
+    path = write_config(tmp_path, cfg)
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "penalty schedule must be finite" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ref", [[2.0], [2.0, 2.0, 2.0], ["a", 2.0], [True, 2.0],
                                  [float("nan"), 2.0], [2.0, float("inf")], 2.0],
                          ids=["short", "long", "string", "bool", "nan", "infinite", "scalar"])

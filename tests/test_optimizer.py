@@ -9,18 +9,16 @@ import pytest
 from moso_kit import embedding, optimizer
 from moso_kit.acquisition import RHO, ScalarizationState, refresh, scalarize_rows, select_start
 from moso_kit.metrics import ParetoArchive, nondominated_filter
-from moso_kit.optimizer import (
-    OptimizerConfig,
-    SubproblemEvaluator,
-    solve,
-    solve_batch,
-)
+from moso_kit.optimizer import SubproblemEvaluator, solve, solve_batch
+from moso_kit.orchestrator import MoopSolver
 from moso_kit.problem import (
     AcquisitionSpec,
     DesignVariable,
     MoopDefinition,
     ObjectiveSpec,
+    SearchConfig,
     SimulationSpec,
+    SurrogateConfig,
     identity_constraint,
     identity_objective,
     linear_objective,
@@ -187,14 +185,13 @@ def test_penalty_scales_infeasible_value():
     assert values[1] == pytest.approx(1.0 + 10.0 * 2.0)
 
 
-def test_iteration_budget_respected():
+def test_iteration_budget_respected(monkeypatch):
     # A needle the line search cannot finish in one step keeps iterating;
-    # the loop must still stop at the configured cap.
+    # the loop must still stop at the cap.
     moop = make_moop(objectives=[quadratic_objective([0.9])])
-    config = OptimizerConfig(max_iterations=3)
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     region = TrustRegion(center=np.array([0.5]), radius=0.5)
-    outcome = solve(moop, weighted(1.0), [], np.array([0.0]), region, lam=1.0,
-                    config=config)
+    outcome = solve(moop, weighted(1.0), [], np.array([0.0]), region, lam=1.0)
     assert outcome.iterations <= 3
 
 
@@ -246,7 +243,7 @@ def test_min_progress_ends_a_slot_whose_steps_stop_paying(monkeypatch):
     # Two slots on a quartic, whose BFGS steps shrink slowly: each slot
     # goes on while its steps gain more than MIN_PROGRESS of its decrease
     # so far and ends at the first that does not, well before the
-    # relative-reduction test of decrease_factor would end it.
+    # relative-reduction test of DECREASE_FACTOR would end it.
     quartic = ObjectiveSpec("quartic", lambda x, s: (x["x1"] - 0.5) ** 4,
                             lambda x, s: ({"x1": 4.0 * (x["x1"] - 0.5) ** 3}, np.empty(0)))
     moop = make_moop(n_vars=1, objectives=[quartic])
@@ -268,7 +265,7 @@ def test_min_progress_ends_a_slot_whose_steps_stop_paying(monkeypatch):
         *going, (f, _, f_last) = rows
         for f_old, _, f_new in going:
             assert f_old - f_new > optimizer.MIN_PROGRESS * (outcome.start_value - f_new)
-        assert (OptimizerConfig().decrease_factor * max(1.0, abs(f_last)) < f - f_last
+        assert (optimizer.DECREASE_FACTOR * max(1.0, abs(f_last)) < f - f_last
                 <= optimizer.MIN_PROGRESS * (outcome.start_value - f_last))
         assert outcome.value == f_last and outcome.candidate is not None
     # The first slot ended while the other went on in the working arrays.
@@ -286,7 +283,7 @@ def test_scaling_the_objectives_by_a_power_of_two_keeps_start_and_candidate():
     # objective by 2**k (exact in floating point) scales every score by
     # 2**k exactly: select_start picks the same record.  The solve's path
     # is not scale-free (BFGS starts from the identity, the line search
-    # from alpha = 1, and decrease_factor compares with max(1, |f|)), but
+    # from alpha = 1, and DECREASE_FACTOR compares with max(1, |f|)), but
     # it stops within MIN_PROGRESS of the same optimum: candidates agree
     # to 1e-2 of the cube, where an absolute width of 0.01 moves them by
     # up to 0.4.
@@ -487,7 +484,7 @@ def test_value_is_the_one_row_case_of_value_rows():
             assert v == pytest.approx(ev.value(z), rel=1e-12, abs=1e-12)
 
 
-def sequential_line_search(ev, z, f, g, d, lo, hi, armijo_c):
+def sequential_line_search(ev, z, f, g, d, lo, hi):
     """Index of the first trial ``alpha = 2**-j`` that passes, one ``value`` at a time."""
     alpha = 1.0
     for j in range(optimizer.MAX_TRIALS):
@@ -495,7 +492,7 @@ def sequential_line_search(ev, z, f, g, d, lo, hi, armijo_c):
         step = z_new - z
         if not step.any():
             return None
-        if ev.value(z_new) <= f + armijo_c * (g @ step):
+        if ev.value(z_new) <= f + optimizer.ARMIJO_C * (g @ step):
             return j
         alpha *= 0.5
     return None
@@ -539,7 +536,7 @@ def checked_line_search(monkeypatch, evaluators):
     block_search = optimizer._line_search
     searches = []
 
-    def checked(stack, slots, z, f, g, d, lo, hi, armijo_c, first_block):
+    def checked(stack, slots, z, f, g, d, lo, hi, first_block):
         values, rows = stack.values, collections.Counter()
 
         def counted(row_slots, points):
@@ -549,13 +546,13 @@ def checked_line_search(monkeypatch, evaluators):
         stack.values = counted
         try:
             accepted, z_new, f_new, count = block_search(stack, slots, z, f, g, d, lo, hi,
-                                                         armijo_c, first_block)
+                                                         first_block)
         finally:
             del stack.values
         for i in range(len(z)):
             assert rows[slots[i]] <= optimizer.MAX_TRIALS
             ev = evaluators[lo[i].tobytes(), hi[i].tobytes()]
-            want = sequential_line_search(ev, z[i], f[i], g[i], d[i], lo[i], hi[i], armijo_c)
+            want = sequential_line_search(ev, z[i], f[i], g[i], d[i], lo[i], hi[i])
             assert (count[i] - 1 if accepted[i] else None) == want
             if want is not None:
                 np.testing.assert_array_equal(
@@ -675,3 +672,91 @@ def test_solve_batch_matches_a_solve_per_slot(seed):
     candidates[0][:] = np.nan
     for c, k in zip(candidates[1:], kept[1:]):
         np.testing.assert_array_equal(c, k)
+
+
+def two_simulation_moop(seed=0):
+    """A 2+1-output problem: a local-refit simulation next to a global one.
+
+    Its gradless term reads both simulations and the design, so its
+    finite differences predict with both of a slot's models.
+    """
+    def wave(d):
+        return np.array([np.sin(3.0 * d["x1"]) + d["x2"] ** 2, np.cos(2.0 * d["x3"]) * d["x1"]])
+
+    def ramp(d):
+        return np.array([d["x1"] * d["x3"] + 0.5 * d["x2"]])
+
+    return MoopDefinition(
+        variables=[DesignVariable("x1", "continuous", 0.0, 1.0),
+                   DesignVariable("x2", "continuous", -1.0, 2.0),
+                   DesignVariable("x3", "continuous", 0.0, 1.0)],
+        simulations=[SimulationSpec("wave", 2, wave, search=SearchConfig(q0=12)),
+                     SimulationSpec("ramp", 1, ramp, search=SearchConfig(q0=12),
+                                    surrogate=SurrogateConfig(local=False))],
+        objectives=[identity_objective("f1", 0),
+                    ObjectiveSpec("mix", lambda x, s: s[1] * s[2] + 0.3 * x["x2"])],
+        constraints=[sum_of_squares_constraint("cap", [0, 2], 2.0)],
+        acquisitions=[AcquisitionSpec("fixed_weight", weights=(0.2, 0.1)),
+                      AcquisitionSpec("random_weight"),
+                      AcquisitionSpec("random_epsilon_constraint"),
+                      AcquisitionSpec("random_epsilon_constraint")],
+        rng_seed=seed,
+    )
+
+
+#: The initial design plus six batches of the two-simulation problem.
+TWO_SIM_BUDGET = 12 + 4 * 6
+
+
+def test_two_simulation_slots_predict_and_solve_as_one_slot_each():
+    # Every slot predicts with a local refit of "wave" and the one global
+    # "ramp" model, so the stack has two model positions: slots differ in
+    # the first and share the second.
+    moop = validate(two_simulation_moop())
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 1.0, (30, 3))
+    designs = [embedding.extract(moop.plan, z) for z in pts]
+    wave, ramp = (RbfSurrogate.fit(pts, np.array([sim.evaluator(d) for d in designs]))
+                  for sim in moop.simulations)
+    states = [weighted(0.2, 0.1), ScalarizationState("random_weight", weights=np.array([0.6, 0.4])),
+              ScalarizationState("random_epsilon_constraint", target=0, epsilons=np.array([0.0, 0.3])),
+              ScalarizationState("random_epsilon_constraint", target=1, epsilons=np.array([0.5, 0.0]))]
+    regions = [TrustRegion(center=np.array(c), radius=r) for c, r in (
+        ([0.3, 0.6, 0.4], 0.25), ([0.7, 0.3, 0.6], 0.3), ([0.5, 0.5, 0.5], 0.2))]
+    models = [[wave.set_center(region), ramp.set_center(region, local=False)]
+              for region in regions]
+    assert all(refit is not wave and model is ramp for refit, model in models)
+    # The last two slots share a start, hence a region and a refit.
+    regions.append(regions[-1])
+    models.append(models[-1])
+
+    stack = optimizer._Stack(moop, states, models, 1.3)
+    assert [len(distinct) for _, distinct, _ in stack._models] == [3, 1]
+    for i, slot_models in enumerate(models):
+        for z in rng.uniform(0.0, 1.0, (5, 3)):
+            np.testing.assert_array_equal(stack._predict(np.array([i]), z[None])[0],
+                                          np.concatenate([m.evaluate(z) for m in slot_models]))
+
+    starts = [rng.uniform(*region.bounds()) for region in regions]
+    together = solve_batch(moop, states, models, starts, regions, lam=1.3)
+    for state, surrogates, start, region, got in zip(states, models, starts, regions, together):
+        want = solve(moop, state, surrogates, start, region, lam=1.3)
+        assert got.iterations == want.iterations
+        assert (got.candidate is None) == (want.candidate is None)
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
+        assert got.start_value == pytest.approx(want.start_value, rel=1e-9, abs=1e-12)
+        if want.candidate is not None:
+            np.testing.assert_allclose(got.candidate, want.candidate, rtol=1e-9, atol=1e-12)
+    assert any(got.candidate is not None for got in together)
+
+    def run():
+        return MoopSolver(two_simulation_moop(seed=2)).solve(TWO_SIM_BUDGET).database.records
+
+    first, second = run(), run()
+    assert len(first) == len(second) == TWO_SIM_BUDGET
+    for a, b in zip(first, second):
+        assert a.design == b.design and a.iteration == b.iteration
+        for u, v in zip(a.sim_outputs, b.sim_outputs):
+            np.testing.assert_array_equal(u, v)
+        np.testing.assert_array_equal(a.objectives, b.objectives)
+        np.testing.assert_array_equal(a.constraints, b.constraints)

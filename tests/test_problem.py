@@ -15,6 +15,7 @@ from moso_kit.problem import (
     MoopDefinition,
     _capped,
     ObjectiveSpec,
+    PenaltyConfig,
     SimulationSpec,
     ValidationError,
     eval_constraints,
@@ -97,6 +98,31 @@ def test_validate_rejects_single_level_categorical():
     defn = calibration_definition()
     defn.variables.append(DesignVariable("solvent", "categorical", levels=("S1",)))
     with pytest.raises(ValidationError, match="two levels"):
+        validate(defn)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("penalty", [
+    PenaltyConfig(1.0, INF, INF), PenaltyConfig(INF, 2.0, INF), PenaltyConfig(NAN, 2.0, 1e8),
+    PenaltyConfig(1.0, NAN, 1e8), PenaltyConfig(1.0, 2.0, NAN), PenaltyConfig(1.0, 2.0, INF),
+], ids=["growth-cap-inf", "initial-cap-inf", "initial-nan", "growth-nan", "cap-nan", "cap-inf"])
+def test_validate_rejects_a_non_finite_penalty_schedule(penalty):
+    # A run under such a schedule ends with a penalty of inf or nan, and
+    # its checkpoint cannot be loaded.
+    defn = calibration_definition()
+    defn.penalty = penalty
+    with pytest.raises(ValidationError, match="penalty schedule must be finite"):
+        validate(defn)
+
+
+@pytest.mark.parametrize("weights", [(NAN, 1.0), (INF, 1.0), (1.0, INF)])
+def test_validate_rejects_non_finite_fixed_weights(weights):
+    defn = calibration_definition()
+    defn.objectives = defn.objectives[:2]
+    defn.acquisitions = [AcquisitionSpec("fixed_weight", weights=weights)]
+    with pytest.raises(ValidationError, match="weights must be finite"):
         validate(defn)
 
 
