@@ -21,9 +21,10 @@ a hinge ``max(f_j - eps_j, 0)`` smoothed over a width ``w_j`` of
 ``WIDTH_FRACTION`` of objective j's spread over the archive, so it
 scales with the objectives.  The inner solve is a quasi-Newton method,
 and at the kink of an exact hinge its steps fail the line search until
-they are tiny; the smooth penalty has a gradient everywhere.  The
-scalarization, its gradient and the start selection all use this one
-formula.
+they are tiny; the smooth penalty has a gradient everywhere.
+``stack_states`` lays states out as one ``(S, 4, o)`` table, which
+``scalarize_stack`` and its gradient score rows under in one array
+pass; ``scalarize`` and the start selection go through them too.
 """
 
 from __future__ import annotations
@@ -104,26 +105,13 @@ def scalarize(state: ScalarizationState, f: np.ndarray) -> float:
     over the non-target objectives, with ``w`` the state's widths: a
     hinge ``max(f[j] - eps[j], 0)`` smoothed over about ``w_j``.
     """
-    return float(scalarize_rows(state, np.asarray(f, dtype=float)[None])[0])
-
-
-def scalarize_gradient(state: ScalarizationState, f: np.ndarray) -> np.ndarray:
-    """d(scalarize)/df at ``f``."""
     f = np.asarray(f, dtype=float)
-    return scalarize_stack_gradient(stack_states([state], len(f)), np.zeros(1, dtype=np.intp),
-                                    f[None])[0]
+    return float(scalarize_stack(stack_states([state], len(f)), np.zeros(1, dtype=np.intp),
+                                 f[None])[0])
 
 
-def scalarize_rows(state: ScalarizationState, objs: np.ndarray) -> np.ndarray:
-    """``scalarize`` of each row of ``objs``: one state's ``scalarize_stack``."""
-    objs = np.asarray(objs, dtype=float)
-    return scalarize_stack(stack_states([state], objs.shape[1]),
-                           np.zeros(len(objs), dtype=np.intp), objs)
-
-
-@dataclass(frozen=True)
-class ScalarizationStack:
-    """States as one array, so rows of different slots scalarize in one pass.
+def stack_states(states, n_objectives: int) -> np.ndarray:
+    """The states as one table (S, 4, o), so rows of different slots scalarize in one pass.
 
     Every kind is a linear form plus a smoothed epsilon penalty,
     ``w @ f + RHO * p @ (c * softplus((f - eps) / c))`` with
@@ -133,12 +121,6 @@ class ScalarizationStack:
     for ``p`` ones on the other objectives and for ``c`` its widths.
     ``table[i]`` holds the rows ``(w, eps, p, c)`` of ``states[i]``.
     """
-
-    table: np.ndarray
-
-
-def stack_states(states, n_objectives: int) -> ScalarizationStack:
-    """The ``ScalarizationStack`` of ``states``, in order."""
     table = np.zeros((len(states), 4, n_objectives))
     table[:, 3] = 1.0
     for row, state in zip(table, states):
@@ -150,24 +132,24 @@ def stack_states(states, n_objectives: int) -> ScalarizationStack:
             row[2] = 1.0
             row[2, state.target] = 0.0
             row[3] = FALLBACK_WIDTH if state.widths is None else state.widths
-    return ScalarizationStack(table)
+    return table
 
 
-def scalarize_stack(stack: ScalarizationStack, slots: np.ndarray, objs: np.ndarray) -> np.ndarray:
-    """``scalarize`` of each row ``objs[r]`` under state ``slots[r]``.
+def scalarize_stack(table: np.ndarray, slots: np.ndarray, objs: np.ndarray) -> np.ndarray:
+    """``scalarize`` of each row ``objs[r]`` under state ``slots[r]`` of ``table``.
 
     One array pass over all rows.  ``vecdot`` takes the same dot product
     per row as ``w @ f`` does for one vector (a ``(B, o) @ (o,)`` product
     rounds differently).
     """
-    w, eps, p, c = stack.table[slots].transpose(1, 0, 2)
+    w, eps, p, c = table[slots].transpose(1, 0, 2)
     return np.vecdot(objs, w) + RHO * np.vecdot(c * np.logaddexp(0.0, (objs - eps) / c), p)
 
 
-def scalarize_stack_gradient(stack: ScalarizationStack, slots: np.ndarray,
+def scalarize_stack_gradient(table: np.ndarray, slots: np.ndarray,
                              objs: np.ndarray) -> np.ndarray:
-    """``scalarize_gradient`` at each row ``objs[r]`` under state ``slots[r]``: (B, o)."""
-    w, eps, p, c = stack.table[slots].transpose(1, 0, 2)
+    """d(scalarize)/df at each row ``objs[r]`` under state ``slots[r]`` of ``table``: (B, o)."""
+    w, eps, p, c = table[slots].transpose(1, 0, 2)
     return w + RHO * (expit((objs - eps) / c) * p)
 
 
@@ -181,7 +163,9 @@ def select_start(state: ScalarizationState, database: EvaluationDatabase,
     """
     if len(database) == 0:
         raise ValueError("cannot select a start point from an empty database")
-    scores = scalarize_rows(state, database.objective_matrix())
+    objs = database.objective_matrix()
+    scores = scalarize_stack(stack_states([state], objs.shape[1]),
+                             np.zeros(len(objs), dtype=np.intp), objs)
     feas = database.feasible_mask()
     if feas.any():
         idx = np.flatnonzero(feas)

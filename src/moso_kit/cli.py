@@ -33,7 +33,8 @@ A run is described by a JSON config document::
       "metrics": {"ref": [1.0, 1.0, 1.0]}
     }
 
-``count`` expands a variable entry into name1..nameN.  Simulation
+``count``, a positive integer, expands a variable entry into
+name1..nameN and an acquisition entry into N slots.  Simulation
 evaluators come from the built-in testbed registry; ``delay`` wraps them
 in a uniform random sleep of ``[lower, upper]`` seconds, two finite
 numbers with ``0 <= lower <= upper``.  ``metrics.ref`` fixes the hypervolume
@@ -121,7 +122,7 @@ def _build_variables(entries):
     for entry in entries:
         name = _require(entry, "name", "variable")
         kind = _require(entry, "kind", f"variable {name!r}")
-        count = entry.get("count")
+        count = _count(entry, f"variable {name!r}")
         names = [name] if count is None else [f"{name}{i + 1}" for i in range(count)]
         for nm in names:
             if kind == "categorical":
@@ -185,6 +186,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _count(entry, where):
+    """``entry["count"]``, a positive integer, or None when it is not given."""
+    count = entry.get("count")
+    if count is None or (_is_int(count) and count >= 1):
+        return count
+    raise ConfigError(f"{where}: count must be a positive integer, got {count!r}")
+
+
 def _output_index(value, m, where):
     if _is_int(value) and 0 <= value < m:
         return value
@@ -234,8 +243,7 @@ def _build_acquisitions(entries):
     out = []
     for i, entry in enumerate(entries):
         kind = _require(entry, "kind", f"acquisition {i}")
-        count = entry.get("count", 1)
-        for _ in range(count):
+        for _ in range(_count(entry, f"acquisition {i}") or 1):
             weights = entry.get("weights")
             out.append(AcquisitionSpec(kind, weights=tuple(weights) if weights else None))
     return out

@@ -96,12 +96,13 @@ def _hv_monte_carlo(pts: np.ndarray, ref: np.ndarray, seed: int, n_samples: int)
     return box * hit / n_samples
 
 
-def hypervolume(points, ref, mc_seed: int = 0, mc_samples: int = MC_SAMPLES) -> float:
+def hypervolume(points, ref) -> float:
     """Volume dominated by ``points`` up to the reference point.
 
     Points with any coordinate beyond ``ref`` are dropped with a warning.
-    Exact dimension-sweep recursion for up to 4 objectives; a seeded
-    Monte Carlo estimate beyond that.  Empty inputs give 0.0.
+    Exact dimension-sweep recursion for up to 4 objectives; beyond that a
+    Monte Carlo estimate from ``MC_SAMPLES`` points drawn at seed 0.
+    Empty inputs give 0.0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ref = np.asarray(ref, dtype=float)
@@ -115,16 +116,15 @@ def hypervolume(points, ref, mc_seed: int = 0, mc_samples: int = MC_SAMPLES) -> 
         pts = pts[inside]
     if len(pts) == 0:
         return 0.0
-    return _front_hypervolume(pts[nondominated_filter(pts)], ref, mc_seed, mc_samples)
+    return _front_hypervolume(pts[nondominated_filter(pts)], ref)
 
 
-def _front_hypervolume(front: np.ndarray, ref: np.ndarray, mc_seed: int = 0,
-                       mc_samples: int = MC_SAMPLES) -> float:
+def _front_hypervolume(front: np.ndarray, ref: np.ndarray) -> float:
     """``hypervolume`` of a front already inside ``ref`` and mutually nondominated."""
     if len(front) == 0:
         return 0.0
     if ref.size > 4:
-        return _hv_monte_carlo(front, ref, mc_seed, mc_samples)
+        return _hv_monte_carlo(front, ref, 0, MC_SAMPLES)
     return _hv_sweep(front, ref)
 
 

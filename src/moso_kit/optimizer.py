@@ -106,9 +106,9 @@ class _Stack:
     def __init__(self, moop: Moop, states, surrogates, lam: float):
         self.moop, self.lam = moop, lam
         self.plan, self.terms = moop.plan, moop.objectives + moop.constraints
-        # Extraction runs at every trial point, so skip it when no term
-        # declares that it reads the design.
-        self._reads_design = any(spec.reads_design for spec in self.terms)
+        # Extraction runs at every trial point, so skip it when every term
+        # has a row form: such a term reads only the outputs.
+        self._needs_design = any(spec.rows is None for spec in self.terms)
         # Latent coordinates that extract differentiably: continuous slots.
         self._chain = [
             (self.plan.variables[vi].name, offset,
@@ -177,7 +177,7 @@ class _Stack:
         A term's row form covers the block in one call; a term without
         one runs ``func`` per row on the extracted design.
         """
-        if self._reads_design:
+        if self._needs_design:
             designs = [embedding.extract(self.plan, z) for z in points]
         else:
             designs = [{}] * len(points)
@@ -277,13 +277,8 @@ class SubproblemEvaluator(_Stack):
     def __init__(self, moop: Moop, state: ScalarizationState, surrogates, lam: float):
         super().__init__(moop, [state], [surrogates], lam)
 
-    def value_rows(self, points: np.ndarray) -> np.ndarray:
-        """``value`` at each latent row of ``points`` (B, l), from one block prediction."""
-        points = np.asarray(points, dtype=float)
-        return self.values(np.zeros(len(points), dtype=np.intp), points)
-
     def value(self, z: np.ndarray) -> float:
-        return float(self.value_rows(np.asarray(z, dtype=float)[None])[0])
+        return float(self.values(np.zeros(1, dtype=np.intp), np.asarray(z, dtype=float)[None])[0])
 
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         values, grads = self.values_and_grads(np.zeros(1, dtype=np.intp),

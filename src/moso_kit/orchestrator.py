@@ -146,14 +146,14 @@ class MoopSolver:
     def iterate(self, k: int) -> CandidateBatch:
         """Propose the next batch of design points (does not evaluate)."""
         if k == 0:
-            sample = lhs_search(self.moop.q0, self.moop.latent_dim, self._search_rng)
-            batch = CandidateBatch(iteration=k)
-            for z in sample:
-                design = embedding.extract(self.moop.plan, z)
-                batch.points.append(BatchPoint(
-                    design=design,
-                    latent=embedding.embed(self.moop.plan, design),
-                    origin="search"))
+            # Samples that snap to one design (integer or categorical
+            # variables) are proposed once.
+            batch, batch_keys = CandidateBatch(iteration=k), set()
+            for z in lhs_search(self.moop.q0, self.moop.latent_dim, self._search_rng):
+                point = self._new_point(z, "search", batch_keys)
+                if point is not None:
+                    batch_keys.add(latent_key(point.latent))
+                    batch.points.append(point)
             return batch
 
         if len(self.database) == 0:
@@ -297,11 +297,11 @@ class MoopSolver:
     def solve(self, budget: int) -> SolveResult:
         """Run iterations until the next batch would exceed ``budget``.
 
-        The budget counts evaluation attempts: q0 for the initial design
-        plus one per point proposed in each later iteration.  The run
-        stops early when an iteration proposes no point at all (the
-        design space is exhausted).  The result's archive is a copy of the
-        one the solver keeps, brought up to date with the last batch.
+        The budget counts evaluation attempts: one per point proposed, at
+        most q0 in the initial design.  The run stops early when an
+        iteration proposes no point at all (the design space is
+        exhausted).  The result's archive is a copy of the one the solver
+        keeps, brought up to date with the last batch.
         """
         if budget < self.moop.q0:
             raise ValidationError(f"budget {budget} cannot cover the initial design "

@@ -114,25 +114,21 @@ class ObjectiveSpec:
     respect to the simulation output vector.  Missing grads fall back to
     forward finite differences on the latent cube inside the optimizer.
 
-    ``reads_design`` (default True) declares that ``func`` or ``grad``
-    reads the design point.  Set it to False only when both ignore it:
-    when no term of a problem reads the design, the inner solve passes an
-    empty dict instead of extracting the design at every trial point.
-    The built-in sim-output forms (``identity_*``, ``sum_of_squares_*``,
-    ``linear_objective``) declare False; ``variable_objective`` keeps True.
-
     ``rows``, when given, is the row form of ``func`` for a term that
     reads only the simulation outputs: it maps a block of output rows
     (B, m) to the B term values at once, and the inner solve calls it
-    instead of ``func`` once per row.  The built-in sim-output forms
-    supply one.  Replacing ``func`` on a term that has ``rows`` must
-    replace ``rows`` too.
+    instead of ``func`` once per row.  A term with ``rows`` is taken to
+    read only the outputs in ``grad`` too: when every term of a problem
+    has one, the inner solve passes an empty dict instead of extracting
+    the design at every trial point.  The built-in sim-output forms
+    (``identity_*``, ``sum_of_squares_*``, ``linear_objective``) supply
+    one; ``variable_objective`` does not.  Replacing ``func`` on a term
+    that has ``rows`` must replace ``rows`` too.
     """
 
     name: str
     func: Callable[[DesignPoint, np.ndarray], float]
     grad: Callable[[DesignPoint, np.ndarray], tuple[dict, np.ndarray]] | None = None
-    reads_design: bool = True
     rows: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -459,7 +455,7 @@ def identity_objective(name: str, index: int, scale: float = 1.0) -> ObjectiveSp
         ds[index] = scale
         return {}, ds
 
-    return ObjectiveSpec(name, func, grad, reads_design=False, rows=rows)
+    return ObjectiveSpec(name, func, grad, rows=rows)
 
 
 def sum_of_squares_objective(name: str, indices) -> ObjectiveSpec:
@@ -479,7 +475,7 @@ def sum_of_squares_objective(name: str, indices) -> ObjectiveSpec:
         ds[idx] = 2.0 * s[idx]
         return {}, ds
 
-    return ObjectiveSpec(name, func, grad, reads_design=False, rows=rows)
+    return ObjectiveSpec(name, func, grad, rows=rows)
 
 
 def variable_objective(name: str, variable: str, scale: float = 1.0) -> ObjectiveSpec:
@@ -507,11 +503,11 @@ def linear_objective(name: str, coeffs, const: float = 0.0) -> ObjectiveSpec:
     def grad(x, s):
         return {}, c.copy()
 
-    return ObjectiveSpec(name, func, grad, reads_design=False, rows=rows)
+    return ObjectiveSpec(name, func, grad, rows=rows)
 
 
 def _capped(spec: ObjectiveSpec, cap: float) -> ConstraintSpec:
-    """The constraint ``spec - cap <= 0``; ``grad`` and ``reads_design`` carry over."""
+    """The constraint ``spec - cap <= 0``; ``grad`` carries over."""
     func, rows = spec.func, spec.rows
     return replace(spec, func=lambda x, s: func(x, s) - cap,
                    rows=None if rows is None else lambda preds: rows(preds) - cap)

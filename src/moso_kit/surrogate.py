@@ -18,11 +18,12 @@ expand the kernel exponent as ``-eps**2 * (|z|**2 - 2 z.c + |c|**2)``
 with the center norms cached at the build: one matrix product, one ``exp``
 and one product with the coefficients per block.  The exponent is
 clipped at zero, where cancellation near a center could make it
-positive.  ``evaluate`` is the one-row case.  The Jacobian and the
-uncertainty keep the difference form ``z - c``, which they need anyway,
-at one point.  The inner solve needs only vector-Jacobian products, and
-``vjp_rows`` gives them at a block of rows from the expansion-form
-kernel without forming any Jacobian.
+positive.  This is the one kernel formula (``_kernel_rows``):
+``evaluate`` is its one-row case, and the Jacobian and the uncertainty
+take their kernel values from it at one point, with the differences
+``z - c`` only for the derivative.  The inner solve needs only
+vector-Jacobian products, and ``vjp_rows`` gives them at a block of
+rows without forming any Jacobian.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class RbfSurrogate:
         return self.values.shape[1]
 
     @classmethod
-    def fit(cls, points, values, nugget_scale: float = NUGGET_SCALE) -> "RbfSurrogate":
+    def fit(cls, points, values) -> "RbfSurrogate":
         """A model of latent points (N, l) and outputs (N, m).
 
         The data is checked and kept here; the kernel system is built at
@@ -140,14 +141,14 @@ class RbfSurrogate:
         if len({p.tobytes() for p in pts}) != len(pts):
             raise SurrogateError("duplicate centers")
         model = cls.__new__(cls)
-        model.centers, model.values, model._nugget_scale = pts, val, nugget_scale
+        model.centers, model.values = pts, val
         return model
 
     def _system(self):
         """The data's kernel system ``K + nugget I``, its shape parameter and its nugget.
 
         The shape parameter is 1/(sqrt(2) * mean pairwise distance);
-        the nugget is ``nugget_scale * trace(K)/N``.  The pairwise mean
+        the nugget is ``NUGGET_SCALE * trace(K)/N``.  The pairwise mean
         tracks the overall extent of the data, so the kernel keeps a
         useful lengthscale even after an optimizer has clustered many
         evaluations into small neighborhoods (a nearest-neighbor
@@ -167,7 +168,7 @@ class RbfSurrogate:
         np.square(system, out=system)
         system *= -(eps ** 2)
         np.exp(system, out=system)
-        nugget = self._nugget_scale * np.trace(system) / n
+        nugget = NUGGET_SCALE * np.trace(system) / n
         system.flat[::n + 1] += nugget
         return system, eps, nugget
 
@@ -197,12 +198,12 @@ class RbfSurrogate:
         self._set_system(coef, eps, nugget, self.values.std(axis=0))
 
     def _kvec(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        diffs = np.asarray(z, dtype=float) - self.centers
-        k = np.exp(-(self.eps ** 2) * np.einsum("ij,ij->i", diffs, diffs))
-        return k, diffs
+        """Kernel values (N,) at one latent point, and its differences ``z - c`` (N, l)."""
+        z = np.asarray(z, dtype=float)
+        return self._kernel_rows(z[None])[0], z - self.centers
 
     def _kernel_rows(self, z: np.ndarray) -> np.ndarray:
-        """Kernel values (B, N) at the rows of ``z``, in the expansion form."""
+        """Kernel values (B, N) at the rows of ``z``: the one kernel formula."""
         arg = z @ self._scaled_t
         arg -= self._scaled_sq
         arg -= self._e2 * np.vecdot(z, z)[:, None]

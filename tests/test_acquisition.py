@@ -10,8 +10,6 @@ from moso_kit.acquisition import (
     ScalarizationState,
     refresh,
     scalarize,
-    scalarize_gradient,
-    scalarize_rows,
     scalarize_stack,
     scalarize_stack_gradient,
     select_start,
@@ -185,8 +183,9 @@ def test_weight_scalarizations_are_monotone_in_objectives():
 
 def test_scalarize_gradient_weight_kind_is_the_weights():
     state = ScalarizationState("fixed_weight", weights=np.array([0.3, 0.7]))
-    assert np.array_equal(scalarize_gradient(state, np.array([1.0, 2.0])),
-                          [0.3, 0.7])
+    grad = scalarize_stack_gradient(stack_states([state], 2), np.zeros(1, dtype=np.intp),
+                                    np.array([[1.0, 2.0]]))
+    assert np.array_equal(grad, [[0.3, 0.7]])
 
 
 def test_scalarize_gradient_epsilon_matches_finite_differences():
@@ -204,7 +203,7 @@ def test_scalarize_gradient_epsilon_matches_finite_differences():
     objs = rng.uniform(0.0, 2.0, (60, 3))
     for i in range(0, 60, 2):
         j = rng.integers(3)
-        objs[i, j] = stack.table[slots[i], 1, j]
+        objs[i, j] = stack[slots[i], 1, j]
     h = 1e-6
     grads = scalarize_stack_gradient(stack, slots, objs)
     for j in range(3):
@@ -212,8 +211,10 @@ def test_scalarize_gradient_epsilon_matches_finite_differences():
         e[j] = h
         fd = (scalarize_stack(stack, slots, objs + e) - scalarize_stack(stack, slots, objs - e)) / (2 * h)
         np.testing.assert_allclose(grads[:, j], fd, rtol=1e-6, atol=1e-5)
+    one = np.zeros(1, dtype=np.intp)
     for state, f, grad in zip([states[s] for s in slots], objs, grads):
-        np.testing.assert_array_equal(scalarize_gradient(state, f), grad)
+        np.testing.assert_array_equal(
+            scalarize_stack_gradient(stack_states([state], 3), one, f[None])[0], grad)
 
 
 def test_select_start_weighted_examples():
@@ -279,7 +280,8 @@ def test_select_start_matches_brute_force():
         lam = float(rng.uniform(0.1, 100.0))
 
         scores = np.array([scalarize(state, fv) for fv in objs])
-        assert np.array_equal(scalarize_rows(state, db.objective_matrix()), scores)
+        assert np.array_equal(scalarize_stack(stack_states([state], o), np.zeros(n, dtype=np.intp),
+                                              db.objective_matrix()), scores)
         feasible = viol <= 1e-8
         if feasible.any():
             candidates = np.flatnonzero(feasible)

@@ -279,6 +279,18 @@ def test_seed_and_budget_types_are_config_errors(tmp_path, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", ["variables", "acquisitions"])
+@pytest.mark.parametrize("count", [0, -3, True, 2.0, "2"])
+def test_count_must_be_a_positive_integer(tmp_path, section, count):
+    cfg = small_config()
+    cfg[section][-1]["count"] = count
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "count must be a positive integer" in result.output
+    assert not out.exists()
+
+
 def test_negative_seed_option_is_a_config_error(tmp_path):
     path = write_config(tmp_path, small_config())
     result = run_cli(["run", "--config", str(path), "--seed", "-3",
@@ -311,7 +323,7 @@ def test_shipped_config_terms_match_testbed_wiring_bitwise(name):
         s = rng.normal(0.0, 3.0, moop.m)
         for got, want in zip(moop.objectives + moop.constraints,
                              wired.objectives + wired.constraints):
-            assert (got.name, got.reads_design) == (want.name, want.reads_design)
+            assert (got.name, got.rows is None) == (want.name, want.rows is None)
             assert got.func(x, s) == want.func(x, s)
             (gdx, gds), (wdx, wds) = got.grad(x, s), want.grad(x, s)
             assert gdx == wdx

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from moso_kit import embedding, optimizer
-from moso_kit.acquisition import RHO, ScalarizationState, refresh, scalarize_rows, select_start
+from moso_kit.acquisition import (
+    RHO,
+    ScalarizationState,
+    refresh,
+    scalarize_stack,
+    select_start,
+    stack_states,
+)
 from moso_kit.metrics import ParetoArchive, nondominated_filter
 from moso_kit.optimizer import SubproblemEvaluator, solve, solve_batch
 from moso_kit.orchestrator import MoopSolver
@@ -311,7 +318,9 @@ def test_scaling_the_objectives_by_a_power_of_two_keeps_start_and_candidate():
         for _ in range(10):
             state = refresh(spec, archive, draws, 2)
             start = select_start(state, database, 1.0)
-            yield (state, scalarize_rows(state, c * objs), start,
+            scores = scalarize_stack(stack_states([state], 2), np.zeros(len(objs), dtype=np.intp),
+                                     c * objs)
+            yield (state, scores, start,
                    solve(problem(c), state, [], points[start], region, lam=1.0).candidate)
 
     for k in (-6, 6):
@@ -463,7 +472,7 @@ def test_gradless_terms_match_central_differences():
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
 
-def test_value_is_the_one_row_case_of_value_rows():
+def test_value_is_the_one_row_case_of_values():
     moop = make_moop(
         n_vars=3,
         sim_dim=3,
@@ -478,9 +487,10 @@ def test_value_is_the_one_row_case_of_value_rows():
     for state in states:
         ev = SubproblemEvaluator(moop, state, [model], lam=1.7)
         block = rng.uniform(0.0, 1.0, (9, 3))
-        values = ev.value_rows(block)
+        values = ev.values(np.zeros(len(block), dtype=np.intp), block)
         for z, v in zip(block, values):
-            assert ev.value(z) == ev.value_rows(z[None])[0] == ev.value_and_grad(z)[0]
+            one = ev.values(np.zeros(1, dtype=np.intp), z[None])[0]
+            assert ev.value(z) == one == ev.value_and_grad(z)[0]
             assert v == pytest.approx(ev.value(z), rel=1e-12, abs=1e-12)
 
 

@@ -85,6 +85,24 @@ def test_initial_design_depends_only_on_seed():
     assert not np.array_equal(za, zc)
 
 
+def test_initial_design_simulates_each_snapped_design_once(caplog):
+    # Twelve Latin hypercube samples over 4 x 4 integer levels snap to
+    # fewer than twelve designs.
+    calls = []
+
+    def simulate(design):
+        calls.append((design["i"], design["j"]))
+        return np.array([design["i"] - 1.0, design["j"] - 2.0])
+
+    defn = bowl_moop(q0=12, evaluator=simulate)
+    defn.variables = [DesignVariable("i", "integer", 0, 3), DesignVariable("j", "integer", 0, 3)]
+    assert len(MoopSolver(defn).iterate(0)) < 12
+    with caplog.at_level("WARNING"):
+        result = MoopSolver(defn).solve(12)
+    assert len(calls) == len(set(calls)) == result.evaluations == len(result.database)
+    assert not any("duplicate design point" in r.message for r in caplog.records)
+
+
 def test_budget_is_initial_plus_batch_per_iteration():
     solver = MoopSolver(bowl_moop(q0=8))
     result = solver.solve(20)

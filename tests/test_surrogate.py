@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-from moso_kit import _blas
+from moso_kit import _blas, surrogate
 from moso_kit.problem import latent_key
 from moso_kit.surrogate import (
     IMPROVE_TRIES,
@@ -202,11 +202,12 @@ def test_vjp_rows_is_the_weighted_jacobian(m, built):
         np.testing.assert_array_equal(model.vjp_rows(rows, np.zeros((n_rows, m))), 0.0)
 
 
-def test_a_singular_system_raises_at_the_first_prediction():
+def test_a_singular_system_raises_at_the_first_prediction(monkeypatch):
     # Two centers 1e-9 apart share a kernel row to the last bit, and no
     # nugget separates them.
+    monkeypatch.setattr(surrogate, "NUGGET_SCALE", 0.0)
     pts = np.array([[0.0, 0.0], [1e-9, 0.0], [1.0, 0.0]])
-    model = RbfSurrogate.fit(pts, np.ones((3, 1)), nugget_scale=0.0)
+    model = RbfSurrogate.fit(pts, np.ones((3, 1)))
     # Localizing and improvement draws read only the data.
     region = TrustRegion(center=pts[2], radius=0.6)
     assert model.set_center(region).n_points == 3
