@@ -32,10 +32,7 @@ from .problem import (
     MoopDefinition,
     MosoError,
     ObjectiveSpec,
-    PenaltyConfig,
-    SearchConfig,
     SimulationSpec,
-    SurrogateConfig,
     ValidationError,
     identity_constraint,
     identity_objective,
@@ -65,13 +62,10 @@ __all__ = [
     "MosoError",
     "ObjectiveSpec",
     "ParetoArchive",
-    "PenaltyConfig",
     "RbfSurrogate",
     "ScalarizationState",
-    "SearchConfig",
     "SimulationSpec",
     "SolveResult",
-    "SurrogateConfig",
     "SurrogateError",
     "TrustRegion",
     "ValidationError",

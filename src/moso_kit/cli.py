@@ -6,7 +6,6 @@ A run is described by a JSON config document::
       "seed": 0,
       "budget": 1000,
       "search": {"q0": 200},
-      "penalty": {"initial": 1.0, "growth": 2.0, "cap": 1e8},
       "variables": [
         {"name": "x", "kind": "continuous", "lower": 0.0, "upper": 1.0, "count": 10},
         {"name": "solvent", "kind": "categorical", "levels": ["S1", "S2"]},
@@ -33,11 +32,17 @@ A run is described by a JSON config document::
       "metrics": {"ref": [1.0, 1.0, 1.0]}
     }
 
-``count``, a positive integer, expands a variable entry into
-name1..nameN and an acquisition entry into N slots.  Simulation
+The ``search`` section's ``q0``, a positive integer (default 100), is
+the size of the initial design.  ``count``, a positive integer, expands
+a variable entry into name1..nameN and an acquisition entry into N
+slots.  Simulation
 evaluators come from the built-in testbed registry; ``delay`` wraps them
 in a uniform random sleep of ``[lower, upper]`` seconds, two finite
-numbers with ``0 <= lower <= upper``.  ``metrics.ref`` fixes the hypervolume
+numbers with ``0 <= lower <= upper``, and ``local``, a boolean (default
+true), refits the simulation's model near each trust-region center.  A
+``penalty`` section or a ``q0`` inside a simulation entry is a config
+error: the penalty schedule is fixed and the ``search`` section holds
+the only initial-design size.  ``metrics.ref`` fixes the hypervolume
 reference point, one finite number per objective, and is checked before
 the run starts; without it the feasible nadir of the finished run is
 used, and the hypervolume is nan when no record is feasible.  A
@@ -74,10 +79,7 @@ from .problem import (
     DesignVariable,
     MoopDefinition,
     MosoError,
-    PenaltyConfig,
-    SearchConfig,
     SimulationSpec,
-    SurrogateConfig,
     ValidationError,
     _capped,
     identity_objective,
@@ -134,8 +136,7 @@ def _build_variables(entries):
     return out
 
 
-def _build_simulations(entries, variables, seed, q0=None):
-    """Simulation specs; a top-level ``q0`` overrides every entry's own."""
+def _build_simulations(entries, variables, seed):
     sims = []
     var_names = [v.name for v in variables]
     for i, entry in enumerate(entries):
@@ -143,6 +144,12 @@ def _build_simulations(entries, variables, seed, q0=None):
         key = _require(entry, "testbed", f"simulation {name!r}")
         if key not in TESTBED_REGISTRY:
             raise ConfigError(f"simulation {name!r}: unknown testbed entry {key!r}")
+        if "q0" in entry:
+            raise ConfigError(f"simulation {name!r}: q0 is set once for the problem, "
+                              "in the search section")
+        local = entry.get("local", True)
+        if not isinstance(local, bool):
+            raise ConfigError(f"simulation {name!r}: local must be true or false, got {local!r}")
         options = entry.get("options", {})
         if key == "dtlz2":
             categorical = [v.name for v in variables if v.kind == "categorical"]
@@ -160,10 +167,7 @@ def _build_simulations(entries, variables, seed, q0=None):
             evaluator = testbed.delay_wrapper(
                 evaluator, *_delay_range(delay, f"simulation {name!r}"),
                 np.random.default_rng(np.random.SeedSequence([seed, 1000 + i])))
-        sims.append(SimulationSpec(name, output_dim, evaluator,
-                                   search=SearchConfig(q0=entry.get("q0", 100) if q0 is None
-                                                       else q0),
-                                   surrogate=SurrogateConfig(local=entry.get("local", True))))
+        sims.append(SimulationSpec(name, output_dim, evaluator, local=local))
     return sims
 
 
@@ -264,21 +268,19 @@ def load_config(path, seed_override=None):
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if "penalty" in cfg:
+        raise ConfigError("penalty: the constraint penalty schedule is fixed")
     try:
         variables = _build_variables(_require(cfg, "variables", "config"))
-        sims = _build_simulations(_require(cfg, "simulations", "config"), variables, seed,
-                                  q0=cfg.get("search", {}).get("q0"))
+        sims = _build_simulations(_require(cfg, "simulations", "config"), variables, seed)
         m = sum(s.output_dim for s in sims)
-        pen = cfg.get("penalty", {})
         defn = MoopDefinition(
             variables=variables,
             simulations=sims,
             objectives=_build_terms(_require(cfg, "objectives", "config"), False, m, variables),
             constraints=_build_terms(cfg.get("constraints", []), True, m, variables),
             acquisitions=_build_acquisitions(_require(cfg, "acquisitions", "config")),
-            penalty=PenaltyConfig(initial=pen.get("initial", 1.0),
-                                  growth=pen.get("growth", 2.0),
-                                  cap=pen.get("cap", 1e8)),
+            q0=cfg.get("search", {}).get("q0", 100),
             rng_seed=seed,
         )
         moop = validate(defn)

@@ -1,11 +1,11 @@
 """Batch iteration loop: search, fit, solve, evaluate, merge, repeat.
 
-Iteration 0 evaluates a space-filling design over the latent cube.
-Every later iteration refits the surrogates, refreshes each acquisition
-and selects its start record, then solves each penalized subproblem
-inside a trust region around its start, swaps duplicates for
-model-improvement points, and sends the resulting batch to a worker
-pool.  Slots that share a start share one trust region and one
+Iteration 0 evaluates a space-filling design of the problem's ``q0``
+points over the latent cube.  Every later iteration refits the
+surrogates, refreshes each acquisition and selects its start record,
+then solves each penalized subproblem inside a trust region around its
+start, swaps duplicates for model-improvement points, and sends the
+resulting batch to a worker pool.  Slots that share a start share one trust region and one
 localization (``set_center``), so they get the same model objects: a
 local refit, or the global models.  All q slots of an iteration are
 solved by one ``optimizer.solve_batch``, which predicts the rows of
@@ -13,7 +13,8 @@ each model together, so a global kernel system is factored only when
 some slot predicts with it; every refit of the iteration is alive until
 the batch returns.  The outcomes become batch points in slot order, and
 each slot draws from its own RNG stream, so the draws are those of
-slots run one after another.  The inner solve has no settings, so the
+slots run one after another.  The inner solve has no settings and the
+constraint penalty follows a fixed schedule (``PENALTY_*``), so the
 problem, the seed and the streams fix every solve.  Results merge in
 batch order so runs are reproducible for any worker count, and the
 whole solver state (database, penalty, RNG streams) round-trips
@@ -55,21 +56,16 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 2
 
+#: The constraint penalty multiplier starts at PENALTY_INITIAL and grows
+#: by PENALTY_GROWTH, up to PENALTY_CAP, after each iteration whose
+#: proposed points all came back infeasible.  Read at call time.
+PENALTY_INITIAL = 1.0
+PENALTY_GROWTH = 2.0
+PENALTY_CAP = 1e8
+
 
 class CheckpointError(MosoError):
     """A checkpoint file is unreadable or does not match the problem."""
-
-
-@dataclass
-class PenaltyState:
-    """Exponentially escalating constraint penalty multiplier."""
-
-    value: float
-    growth: float
-    cap: float
-
-    def escalate(self) -> None:
-        self.value = min(self.value * self.growth, self.cap)
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,11 @@ def problem_fingerprint(moop: Moop) -> str:
     desc = {
         "variables": [[v.name, v.kind, v.lower, v.upper, list(v.levels or [])]
                       for v in moop.variables],
-        "simulations": [[s.name, s.output_dim, s.search.q0, s.surrogate.local]
-                        for s in moop.simulations],
+        "simulations": [[s.name, s.output_dim, moop.q0, s.local] for s in moop.simulations],
         "objectives": [f.name for f in moop.objectives],
         "constraints": [g.name for g in moop.constraints],
         "acquisitions": [[a.kind, list(a.weights or [])] for a in moop.acquisitions],
-        "penalty": [moop.penalty.initial, moop.penalty.growth, moop.penalty.cap],
+        "penalty": [PENALTY_INITIAL, PENALTY_GROWTH, PENALTY_CAP],
         "seed": moop.rng_seed,
     }
     blob = json.dumps(desc, sort_keys=True).encode()
@@ -128,9 +123,7 @@ class MoopSolver:
         self.checkpoint_path = checkpoint_path
         self.database = EvaluationDatabase(self.moop.plan)
         self.archive = ParetoArchive()  # of the database, as of the last ``iterate`` or ``solve``
-        self.penalty = PenaltyState(self.moop.penalty.initial,
-                                    self.moop.penalty.growth,
-                                    self.moop.penalty.cap)
+        self.penalty = PENALTY_INITIAL
         self.iteration = 0
         self.evaluations = 0  # attempts, including skipped points
         seq = np.random.SeedSequence(self.moop.rng_seed)
@@ -172,7 +165,7 @@ class MoopSolver:
         # its own RNG stream, so the order of the draws changes nothing.
         states = [acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o)
                   for i, spec in enumerate(self.moop.acquisitions)]
-        starts = [acq.select_start(state, self.database, self.penalty.value)
+        starts = [acq.select_start(state, self.database, self.penalty)
                   for state in states]
         # One region and one localization per distinct start, shared by
         # every slot with that start; all slots are solved in one batch.
@@ -181,13 +174,13 @@ class MoopSolver:
             if start not in localized:
                 region = trust_region(self.database.records[start].latent, latents, self.moop.n)
                 localized[start] = region, [
-                    model.set_center(region, local=sim.surrogate.local)
+                    model.set_center(region, local=sim.local)
                     for sim, model in zip(self.moop.simulations, models)]
             regions.append(localized[start][0])
             slot_models.append(localized[start][1])
         outcomes = optimizer.solve_batch(
             self.moop, states, slot_models, [region.center for region in regions], regions,
-            self.penalty.value)
+            self.penalty)
 
         for i, (outcome, region) in enumerate(zip(outcomes, regions)):
             point = None
@@ -286,8 +279,8 @@ class MoopSolver:
         proposed = [r for p, r in zip(batch.points, results)
                     if p.optimizer_proposed and r is not None]
         if proposed and all(not r.feasible for r in proposed):
-            self.penalty.escalate()
-        return self.penalty.value
+            self.penalty = min(self.penalty * PENALTY_GROWTH, PENALTY_CAP)
+        return self.penalty
 
     # -- outer loop --------------------------------------------------------
 
@@ -360,7 +353,7 @@ class MoopSolver:
             "problem": problem_fingerprint(self.moop),
             "iteration": self.iteration,
             "evaluations": self.evaluations,
-            "penalty": self.penalty.value,
+            "penalty": self.penalty,
             "blas_threads": _blas.thread_count(),
             "rng": {
                 "search": self._search_rng.bit_generator.state,
@@ -405,7 +398,7 @@ class MoopSolver:
             penalty = state["penalty"]
             if type(penalty) not in (int, float) or not math.isfinite(penalty):
                 raise CheckpointError(f"penalty must be a finite number, not {penalty!r}")
-            solver.penalty.value = float(penalty)
+            solver.penalty = float(penalty)
             solver._search_rng.bit_generator.state = state["rng"]["search"]
             if len(state["rng"]["acquisitions"]) != len(solver._acq_rngs):
                 raise CheckpointError("checkpoint has the wrong number of acquisition RNG states")

@@ -10,6 +10,7 @@ is satisfied when its value is nonpositive.
 from __future__ import annotations
 
 import logging
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
@@ -74,32 +75,18 @@ class DesignVariable:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Initial space-filling design settings for one simulation."""
-
-    q0: int = 100
-
-
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Surrogate settings for one simulation.
-
-    ``local`` refits the model on the data near each trust-region center;
-    a global model is used as-is inside the region otherwise.
-    """
-
-    local: bool = True
-
-
-@dataclass(frozen=True)
 class SimulationSpec:
-    """An expensive vector-valued black box evaluated at design points."""
+    """An expensive vector-valued black box evaluated at design points.
+
+    ``local`` refits the simulation's model on the data near each
+    trust-region center; a global model is used as-is inside the region
+    otherwise.
+    """
 
     name: str
     output_dim: int
     evaluator: Callable[[DesignPoint], np.ndarray]
-    search: SearchConfig = SearchConfig()
-    surrogate: SurrogateConfig = SurrogateConfig()
+    local: bool = True
 
 
 @dataclass(frozen=True)
@@ -144,25 +131,20 @@ class AcquisitionSpec:
     weights: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Exponential schedule for the constraint penalty multiplier."""
-
-    initial: float = 1.0
-    growth: float = 2.0
-    cap: float = 1e8
-
-
 @dataclass
 class MoopDefinition:
-    """Mutable builder for a multiobjective simulation-optimization problem."""
+    """Mutable builder for a multiobjective simulation-optimization problem.
+
+    ``q0`` is the size of the joint space-filling design that the first
+    iteration evaluates.
+    """
 
     variables: list = field(default_factory=list)
     simulations: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
     acquisitions: list = field(default_factory=list)
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+    q0: int = 100
     rng_seed: int = 0
 
 
@@ -175,7 +157,7 @@ class Moop:
     objectives: tuple
     constraints: tuple
     acquisitions: tuple
-    penalty: PenaltyConfig
+    q0: int
     rng_seed: int
     plan: embedding.EmbeddingPlan
 
@@ -205,13 +187,6 @@ class Moop:
     @property
     def latent_dim(self) -> int:
         return self.plan.latent_dim
-
-    @property
-    def q0(self) -> int:
-        """Size of the joint initial design (max over simulations)."""
-        if not self.simulations:
-            return 0
-        return max(s.search.q0 for s in self.simulations)
 
 
 def _check_unique(names, what):
@@ -258,6 +233,9 @@ def validate(defn) -> Moop:
         raise ValidationError("at least one design variable is required")
     if not defn.acquisitions:
         raise ValidationError("at least one acquisition is required")
+    q0 = defn.q0
+    if not (isinstance(q0, numbers.Integral) and not isinstance(q0, bool) and q0 >= 1):
+        raise ValidationError(f"q0 must be a positive integer, got {q0!r}")
 
     _check_unique([v.name for v in defn.variables], "variable")
     _check_unique([s.name for s in defn.simulations], "simulation")
@@ -272,8 +250,6 @@ def validate(defn) -> Moop:
             raise ValidationError(f"simulation {s.name!r}: evaluator is not callable")
         if s.output_dim < 1:
             raise ValidationError(f"simulation {s.name!r}: output_dim must be >= 1")
-        if s.search.q0 < 1:
-            raise ValidationError(f"simulation {s.name!r}: q0 must be >= 1")
     if not defn.simulations:
         warnings.warn("no simulations declared; objectives are treated as purely algebraic")
 
@@ -295,12 +271,6 @@ def validate(defn) -> Moop:
                 raise ValidationError(
                     f"acquisition {i}: weights must be finite, nonnegative and not all zero")
 
-    pen = defn.penalty
-    if (not np.isfinite([pen.initial, pen.growth, pen.cap]).all()
-            or pen.initial <= 0 or pen.growth < 1 or pen.cap < pen.initial):
-        raise ValidationError(
-            "penalty schedule must be finite, with initial > 0, growth >= 1, cap >= initial")
-
     plan = embedding.build_plan(tuple(defn.variables))
     return Moop(
         variables=tuple(defn.variables),
@@ -308,7 +278,7 @@ def validate(defn) -> Moop:
         objectives=tuple(defn.objectives),
         constraints=tuple(defn.constraints),
         acquisitions=tuple(defn.acquisitions),
-        penalty=defn.penalty,
+        q0=int(q0),
         rng_seed=defn.rng_seed,
         plan=plan,
     )

@@ -26,9 +26,7 @@ from .problem import (
     AcquisitionSpec,
     DesignVariable,
     MoopDefinition,
-    SearchConfig,
     SimulationSpec,
-    SurrogateConfig,
     identity_constraint,
     identity_objective,
     sum_of_squares_constraint,
@@ -92,11 +90,10 @@ def dtlz2_moop(n: int = 10, o: int = 3, q0: int = 200, batch: int = 16,
         evaluator = delay_wrapper(evaluator, delay[0], delay[1], np.random.default_rng(seed))
     return MoopDefinition(
         variables=[DesignVariable(k, "continuous", 0.0, 1.0) for k in names],
-        simulations=[SimulationSpec("dtlz2", o, evaluator,
-                                    search=SearchConfig(q0=q0),
-                                    surrogate=SurrogateConfig(local=local))],
+        simulations=[SimulationSpec("dtlz2", o, evaluator, local=local)],
         objectives=[identity_objective(f"f{j + 1}", j) for j in range(o)],
         acquisitions=_standard_acquisitions(batch, o),
+        q0=q0,
         rng_seed=seed,
     )
 
@@ -175,15 +172,13 @@ def residuals_moop(structured: bool = True, q0: int = 200, batch: int = 10,
     variables = [DesignVariable(name, "continuous", lo, hi)
                  for name, (lo, hi) in zip(_param_names(), PARAM_BOUNDS)]
     if structured:
-        sims = [SimulationSpec("residuals", N_RESIDUALS, synthetic_residuals,
-                               search=SearchConfig(q0=q0))]
+        sims = [SimulationSpec("residuals", N_RESIDUALS, synthetic_residuals)]
         idx = [np.arange(sl.start, sl.stop) for sl in CLASS_SLICES]
         objectives = [sum_of_squares_objective(f"class{j + 1}", idx[j]) for j in range(3)]
         constraints = [sum_of_squares_constraint(f"class{j + 1}_cap", idx[j], CLASS_CAPS[j])
                        for j in range(3)]
     else:
-        sims = [SimulationSpec("residual_classes", 3, residual_class_sums,
-                               search=SearchConfig(q0=q0))]
+        sims = [SimulationSpec("residual_classes", 3, residual_class_sums)]
         objectives = [identity_objective(f"class{j + 1}", j) for j in range(3)]
         constraints = [identity_constraint(f"class{j + 1}_cap", j, CLASS_CAPS[j])
                        for j in range(3)]
@@ -193,6 +188,7 @@ def residuals_moop(structured: bool = True, q0: int = 200, batch: int = 10,
         objectives=objectives,
         constraints=constraints,
         acquisitions=_standard_acquisitions(batch, 3),
+        q0=q0,
         rng_seed=seed,
     )
 
@@ -271,15 +267,14 @@ def cfr_moop(structured: bool = True, q0: int = 50, batch: int = 3,
         DesignVariable("base", "categorical", levels=("B1", "B2")),
     ]
     if structured:
-        sims = [SimulationSpec("reactor", 2, cfr_analog, search=SearchConfig(q0=q0))]
+        sims = [SimulationSpec("reactor", 2, cfr_analog)]
         objectives = [
             identity_objective("neg_product", 0, scale=-1.0),
             identity_objective("byproduct", 1),
             variable_objective("time", "reaction_time"),
         ]
     else:
-        sims = [SimulationSpec("reactor_full", 3, cfr_analog_with_time,
-                               search=SearchConfig(q0=q0))]
+        sims = [SimulationSpec("reactor_full", 3, cfr_analog_with_time)]
         objectives = [
             identity_objective("neg_product", 0, scale=-1.0),
             identity_objective("byproduct", 1),
@@ -290,5 +285,6 @@ def cfr_moop(structured: bool = True, q0: int = 50, batch: int = 3,
         simulations=sims,
         objectives=objectives,
         acquisitions=_standard_acquisitions(batch, 3),
+        q0=q0,
         rng_seed=seed,
     )

@@ -8,13 +8,14 @@ module takes several minutes; everything is seeded and deterministic.
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from moso_kit import testbed
+from moso_kit import orchestrator, testbed
 from moso_kit.metrics import hypervolume, pct_hv_improvement
-from moso_kit.orchestrator import MoopSolver, PenaltyState
+from moso_kit.orchestrator import MoopSolver
 
 import test_embedding
 import test_metrics
@@ -192,12 +193,15 @@ def test_hypervolume_property_suite():
     test_metrics.test_hv_sweep_within_3_sigma_of_monte_carlo()
 
 
-def test_penalty_property_suite():
-    state = PenaltyState(value=1.0, growth=3.0, cap=50.0)
-    seen = [state.value]
+def test_penalty_property_suite(monkeypatch):
+    monkeypatch.setattr(orchestrator, "PENALTY_GROWTH", 3.0)
+    monkeypatch.setattr(orchestrator, "PENALTY_CAP", 50.0)
+    solver = MoopSolver(test_orchestrator.bowl_moop())
+    point = orchestrator.BatchPoint({"x": 0.5}, np.array([0.5]), "acquisition:0")
+    batch, infeasible = orchestrator.CandidateBatch(1, [point]), SimpleNamespace(feasible=False)
+    seen = [solver.penalty]
     for _ in range(10):
-        state.escalate()
-        seen.append(state.value)
+        seen.append(solver.update_penalty(batch, [infeasible]))
     assert all(b >= a for a, b in zip(seen, seen[1:]))
     assert max(seen) == 50.0
     assert seen[-1] == 50.0

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from moso_kit import _blas, testbed
 from moso_kit.cli import hv_trajectory, load_config, main, write_metrics_csv
 from moso_kit.metrics import hypervolume
+from moso_kit.orchestrator import problem_fingerprint
 from moso_kit.problem import EvaluationDatabase, validate
 
 from helpers import random_design
@@ -173,17 +174,101 @@ def test_bad_simulation_delay_is_a_config_error(tmp_path, delay):
     assert "config error" in result.output
 
 
-def test_non_finite_penalty_is_a_config_error(tmp_path):
-    # json writes the float as the bare token Infinity, which json reads back.
+@pytest.mark.parametrize("penalty", [{}, {"growth": 2.0}, {"cap": float("inf")}],
+                         ids=["empty", "growth", "infinite-cap"])
+def test_penalty_section_is_a_config_error(tmp_path, penalty):
+    # The penalty schedule is fixed; a section that used to set it must not
+    # be dropped silently.
     cfg = small_config()
-    cfg["penalty"] = {"cap": float("inf")}
+    cfg["penalty"] = penalty
     path = write_config(tmp_path, cfg)
-    assert "Infinity" in path.read_text(encoding="utf-8")
     out = tmp_path / "out"
     result = run_cli(["run", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 2
-    assert "penalty schedule must be finite" in result.output
+    assert "penalty" in result.output
     assert not out.exists()
+
+
+def test_simulation_q0_is_a_config_error(tmp_path):
+    cfg = small_config()
+    cfg["simulations"][0]["q0"] = 20
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "q0" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q0", [True, 2.5], ids=["bool", "float"])
+def test_bad_search_q0_is_a_config_error(tmp_path, q0):
+    cfg = small_config()
+    cfg["search"]["q0"] = q0
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "q0 must be a positive integer" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("local", ["no", 0, None], ids=["string", "int", "null"])
+def test_non_boolean_local_is_a_config_error(tmp_path, local):
+    cfg = small_config()
+    cfg["simulations"][0]["local"] = local
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "local must be true or false" in result.output
+    assert not out.exists()
+
+
+def test_default_q0_and_local(tmp_path):
+    cfg = small_config()
+    del cfg["search"]
+    moop, _ = load_config(write_config(tmp_path, cfg))
+    assert moop.q0 == 100
+    assert moop.simulations[0].local is True
+    cfg["simulations"][0]["local"] = False
+    moop, _ = load_config(write_config(tmp_path, cfg))
+    assert moop.simulations[0].local is False
+
+
+def test_run_without_simulations(tmp_path):
+    # Objectives that read only the design need no simulation.
+    cfg = small_config()
+    cfg["simulations"] = []
+    cfg["objectives"] = [{"name": "f1", "form": "variable", "variable": "x1"},
+                         {"name": "f2", "form": "variable", "variable": "x2", "scale": -1.0}]
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="no simulations"):
+        result = run_cli(["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(out / "database.csv")
+    assert rows[0] == ["iteration", "var_x1", "var_x2", "var_x3", "var_x4",
+                       "obj_f1", "obj_f2", "feasible"]
+    assert len(rows) - 1 > 12  # more than the initial design
+
+
+#: The first 12 hex digits of each shipped problem's fingerprint.  A
+#: checkpoint is resumed only when the fingerprint matches, so a change
+#: here orphans every checkpoint written before it.
+PINNED_FINGERPRINTS = [
+    (lambda: load_config(CONFIGS / "dtlz2.json")[0], "5457dd8bb9ea"),
+    (lambda: load_config(CONFIGS / "calibration.json")[0], "f7f62b4e9fac"),
+    (lambda: load_config(CONFIGS / "reactor.json")[0], "1de7b668a2bb"),
+    (lambda: validate(testbed.dtlz2_moop()), "abd7c1a81713"),
+    (lambda: validate(testbed.dtlz2_moop(q0=16, batch=8)), "073d53fad5a0"),
+]
+
+
+@pytest.mark.parametrize("make,prefix", PINNED_FINGERPRINTS,
+                         ids=["dtlz2.json", "calibration.json", "reactor.json",
+                              "dtlz2_moop", "dtlz2_moop-q0-16"])
+def test_problem_fingerprints_are_pinned(make, prefix):
+    assert problem_fingerprint(make())[:12] == prefix
 
 
 @pytest.mark.parametrize("ref", [[2.0], [2.0, 2.0, 2.0], ["a", 2.0], [True, 2.0],

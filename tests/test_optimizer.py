@@ -23,9 +23,7 @@ from moso_kit.problem import (
     DesignVariable,
     MoopDefinition,
     ObjectiveSpec,
-    SearchConfig,
     SimulationSpec,
-    SurrogateConfig,
     identity_constraint,
     identity_objective,
     linear_objective,
@@ -700,9 +698,8 @@ def two_simulation_moop(seed=0):
         variables=[DesignVariable("x1", "continuous", 0.0, 1.0),
                    DesignVariable("x2", "continuous", -1.0, 2.0),
                    DesignVariable("x3", "continuous", 0.0, 1.0)],
-        simulations=[SimulationSpec("wave", 2, wave, search=SearchConfig(q0=12)),
-                     SimulationSpec("ramp", 1, ramp, search=SearchConfig(q0=12),
-                                    surrogate=SurrogateConfig(local=False))],
+        simulations=[SimulationSpec("wave", 2, wave, local=True),
+                     SimulationSpec("ramp", 1, ramp, local=False)],
         objectives=[identity_objective("f1", 0),
                     ObjectiveSpec("mix", lambda x, s: s[1] * s[2] + 0.3 * x["x2"])],
         constraints=[sum_of_squares_constraint("cap", [0, 2], 2.0)],
@@ -710,6 +707,7 @@ def two_simulation_moop(seed=0):
                       AcquisitionSpec("random_weight"),
                       AcquisitionSpec("random_epsilon_constraint"),
                       AcquisitionSpec("random_epsilon_constraint")],
+        q0=12,
         rng_seed=seed,
     )
 

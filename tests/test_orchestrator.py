@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moso_kit import _blas, acquisition, optimizer, testbed
+from moso_kit import _blas, acquisition, optimizer, orchestrator, testbed
 from moso_kit.embedding import embed
 from moso_kit.metrics import ParetoArchive
 from moso_kit.orchestrator import (
@@ -26,8 +26,6 @@ from moso_kit.problem import (
     DesignVariable,
     MoopDefinition,
     ObjectiveSpec,
-    PenaltyConfig,
-    SearchConfig,
     SimulationSpec,
     ValidationError,
     identity_objective,
@@ -35,13 +33,13 @@ from moso_kit.problem import (
     sum_of_squares_constraint,
     sum_of_squares_objective,
     validate,
+    variable_objective,
 )
 
 from helpers import brute_force_nondominated
 
 
-def bowl_moop(q0=8, seed=0, acquisitions=None, constraints=(), penalty=None,
-              evaluator=None):
+def bowl_moop(q0=8, seed=0, acquisitions=None, constraints=(), evaluator=None):
     """Two smooth single-minimum objectives over one continuous variable."""
 
     def default_eval(design):
@@ -50,8 +48,7 @@ def bowl_moop(q0=8, seed=0, acquisitions=None, constraints=(), penalty=None,
 
     return MoopDefinition(
         variables=[DesignVariable("x", "continuous", 0.0, 1.0)],
-        simulations=[SimulationSpec("shift", 2, evaluator or default_eval,
-                                    search=SearchConfig(q0=q0))],
+        simulations=[SimulationSpec("shift", 2, evaluator or default_eval, local=True)],
         objectives=[sum_of_squares_objective("near_low", [0]),
                     sum_of_squares_objective("near_high", [1])],
         constraints=list(constraints),
@@ -60,7 +57,7 @@ def bowl_moop(q0=8, seed=0, acquisitions=None, constraints=(), penalty=None,
             AcquisitionSpec("random_weight"),
             AcquisitionSpec("random_epsilon_constraint"),
         ],
-        penalty=penalty or PenaltyConfig(),
+        q0=q0,
         rng_seed=seed,
     )
 
@@ -179,15 +176,36 @@ def test_stalled_solve_yields_improvement_inside_local_region(monkeypatch):
     assert gap <= region.radius + 1e-12
 
 
+def test_problem_without_simulations_is_solved():
+    # Objectives that read only the design need no simulation; the
+    # problem's q0 sizes the initial design.
+    moop = MoopDefinition(
+        variables=[DesignVariable("a", "continuous", 0.0, 1.0),
+                   DesignVariable("b", "continuous", 0.0, 1.0)],
+        objectives=[variable_objective("fa", "a"),
+                    ObjectiveSpec("fb", lambda x, s: (1.0 - x["a"]) ** 2 + x["b"])],
+        acquisitions=[AcquisitionSpec("fixed_weight", weights=(0.5, 0.5)),
+                      AcquisitionSpec("random_epsilon_constraint")],
+        q0=10,
+    )
+    with pytest.warns(UserWarning, match="no simulations"):
+        solver = MoopSolver(moop)
+    result = solver.solve(30)
+    assert 10 < result.evaluations <= 30
+    assert len(result.database) == result.evaluations
+    assert all(r.sim_outputs == () for r in result.database.records)
+    assert_archive_is_a_rebuild(result.archive, result.database.records)
+
+
 def test_solve_stops_when_an_iteration_proposes_nothing(caplog):
     # Four integer levels are all spent by the initial design, so every
     # later slot is dropped; the run must stop instead of spinning.
     moop = MoopDefinition(
         variables=[DesignVariable("k", "integer", 0, 3)],
-        simulations=[SimulationSpec("id", 1, lambda d: np.array([float(d["k"])]),
-                                    search=SearchConfig(q0=4))],
+        simulations=[SimulationSpec("id", 1, lambda d: np.array([float(d["k"])]), local=True)],
         objectives=[identity_objective("up", 0), identity_objective("down", 0, scale=-1.0)],
         acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+        q0=4,
     )
     solver = MoopSolver(moop)
     proposals = []
@@ -297,17 +315,18 @@ def test_wrong_output_shape_skips_point(caplog):
     assert len(solver.database) == 0
 
 
-def penalty_probe():
-    solver = MoopSolver(bowl_moop(
-        penalty=PenaltyConfig(initial=1.0, growth=4.0, cap=8.0)))
+def penalty_probe(monkeypatch):
+    monkeypatch.setattr(orchestrator, "PENALTY_GROWTH", 4.0)
+    monkeypatch.setattr(orchestrator, "PENALTY_CAP", 8.0)
+    solver = MoopSolver(bowl_moop())
     z = np.array([0.5])
     acq_point = BatchPoint({"x": 0.5}, z, "acquisition:0")
     imp_point = BatchPoint({"x": 0.5}, z, "improve:0")
     return solver, acq_point, imp_point
 
 
-def test_penalty_escalates_when_every_proposed_point_is_infeasible():
-    solver, acq, _ = penalty_probe()
+def test_penalty_escalates_when_every_proposed_point_is_infeasible(monkeypatch):
+    solver, acq, _ = penalty_probe(monkeypatch)
     batch = CandidateBatch(1, [acq, acq])
     bad = SimpleNamespace(feasible=False)
     assert solver.update_penalty(batch, [bad, bad]) == 4.0
@@ -316,15 +335,15 @@ def test_penalty_escalates_when_every_proposed_point_is_infeasible():
     assert solver.update_penalty(batch, [bad, bad]) == 8.0
 
 
-def test_penalty_unchanged_when_any_proposed_point_is_feasible():
-    solver, acq, _ = penalty_probe()
+def test_penalty_unchanged_when_any_proposed_point_is_feasible(monkeypatch):
+    solver, acq, _ = penalty_probe(monkeypatch)
     batch = CandidateBatch(1, [acq, acq])
     results = [SimpleNamespace(feasible=False), SimpleNamespace(feasible=True)]
     assert solver.update_penalty(batch, results) == 1.0
 
 
-def test_penalty_ignores_improvement_and_skipped_points():
-    solver, acq, imp = penalty_probe()
+def test_penalty_ignores_improvement_and_skipped_points(monkeypatch):
+    solver, acq, imp = penalty_probe(monkeypatch)
     # Improvement points never trigger escalation.
     batch = CandidateBatch(1, [imp])
     assert solver.update_penalty(batch, [SimpleNamespace(feasible=False)]) == 1.0
@@ -337,17 +356,16 @@ def test_penalty_escalates_during_solve_on_infeasible_problem():
     moop = bowl_moop(
         q0=6,
         constraints=[sum_of_squares_constraint("impossible", [0], cap=-1.0)],
-        penalty=PenaltyConfig(initial=1.0, growth=2.0, cap=1e8),
     )
     solver = MoopSolver(moop)
     solver.solve(15)
-    assert solver.penalty.value > 1.0
+    assert solver.penalty > 1.0
 
 
 def test_penalty_constant_on_unconstrained_problem():
     solver = MoopSolver(bowl_moop(q0=6))
     solver.solve(18)
-    assert solver.penalty.value == 1.0
+    assert solver.penalty == 1.0
 
 
 def test_archive_is_nondominated_filter_of_feasible_records():
@@ -449,9 +467,10 @@ def test_objectives_whose_archive_spread_overflows_or_underflows_are_solved(scal
         variables=[DesignVariable("x", "continuous", 0.0, 1.0)],
         simulations=[SimulationSpec("pair", 2,
                                     lambda d: np.array([2.0 * d["x"] - 1.0, 1.0 - 2.0 * d["x"]]),
-                                    search=SearchConfig(q0=8))],
+                                    local=True)],
         objectives=[identity_objective("f1", 0, scale), identity_objective("f2", 1, scale)],
         acquisitions=[AcquisitionSpec("random_epsilon_constraint")] * 2,
+        q0=8,
     )
     with np.errstate(all="ignore"):
         result = MoopSolver(moop).solve(20)
@@ -521,10 +540,11 @@ def custom_level_moop():
                    DesignVariable("level", "custom", embedder=level)],
         simulations=[SimulationSpec("shift", 2,
                                     lambda d: np.array([d["x"] - 0.3, d["level"] / 8.0 - 0.8]),
-                                    search=SearchConfig(q0=6))],
+                                    local=True)],
         objectives=[sum_of_squares_objective("near_low", [0]),
                     sum_of_squares_objective("near_high", [1])],
         acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+        q0=6,
         rng_seed=3,
     )
 
@@ -555,22 +575,21 @@ def test_checkpoint_rejects_problem_with_edited_terms(tmp_path):
         MoopSolver.checkpoint_load(str(path), capped(-5.0))
 
 
-def test_checkpoint_restores_counters_and_penalty(tmp_path):
+def test_checkpoint_restores_counters_and_penalty(tmp_path, monkeypatch):
+    monkeypatch.setattr(orchestrator, "PENALTY_GROWTH", 3.0)
     moop = bowl_moop(
         q0=6,
-        constraints=[sum_of_squares_constraint("impossible", [0], cap=-1.0)],
-        penalty=PenaltyConfig(initial=1.0, growth=3.0, cap=1e8))
+        constraints=[sum_of_squares_constraint("impossible", [0], cap=-1.0)])
     path = tmp_path / "state.json"
     solver = MoopSolver(moop, checkpoint_path=str(path))
     solver.solve(12)
 
     resumed = MoopSolver.checkpoint_load(str(path), bowl_moop(
         q0=6,
-        constraints=[sum_of_squares_constraint("impossible", [0], cap=-1.0)],
-        penalty=PenaltyConfig(initial=1.0, growth=3.0, cap=1e8)))
+        constraints=[sum_of_squares_constraint("impossible", [0], cap=-1.0)]))
     assert resumed.evaluations == solver.evaluations
     assert resumed.iteration == solver.iteration
-    assert resumed.penalty.value == solver.penalty.value
+    assert resumed.penalty == solver.penalty
 
 
 def test_checkpoint_rejects_other_problem(tmp_path):

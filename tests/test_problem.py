@@ -15,7 +15,6 @@ from moso_kit.problem import (
     MoopDefinition,
     _capped,
     ObjectiveSpec,
-    PenaltyConfig,
     SimulationSpec,
     ValidationError,
     eval_constraints,
@@ -104,17 +103,21 @@ def test_validate_rejects_single_level_categorical():
 INF, NAN = float("inf"), float("nan")
 
 
-@pytest.mark.parametrize("penalty", [
-    PenaltyConfig(1.0, INF, INF), PenaltyConfig(INF, 2.0, INF), PenaltyConfig(NAN, 2.0, 1e8),
-    PenaltyConfig(1.0, NAN, 1e8), PenaltyConfig(1.0, 2.0, NAN), PenaltyConfig(1.0, 2.0, INF),
-], ids=["growth-cap-inf", "initial-cap-inf", "initial-nan", "growth-nan", "cap-nan", "cap-inf"])
-def test_validate_rejects_a_non_finite_penalty_schedule(penalty):
-    # A run under such a schedule ends with a penalty of inf or nan, and
-    # its checkpoint cannot be loaded.
+@pytest.mark.parametrize("q0", [True, 2.5, 0, -3, "10", None])
+def test_validate_requires_a_positive_integer_q0(q0):
     defn = calibration_definition()
-    defn.penalty = penalty
-    with pytest.raises(ValidationError, match="penalty schedule must be finite"):
+    defn.q0 = q0
+    with pytest.raises(ValidationError, match="q0 must be a positive integer"):
         validate(defn)
+
+
+def test_validate_stores_a_numpy_integer_q0_as_int():
+    # The fingerprint serializes q0 to JSON, which takes no numpy integer.
+    defn, plain = calibration_definition(), calibration_definition()
+    defn.q0, plain.q0 = np.int64(7), 7
+    moop = validate(defn)
+    assert type(moop.q0) is int
+    assert problem_fingerprint(moop) == problem_fingerprint(validate(plain))
 
 
 @pytest.mark.parametrize("weights", [(NAN, 1.0), (INF, 1.0), (1.0, INF)])
