@@ -298,22 +298,32 @@ def load_config(path, seed_override=None):
 # Output files
 
 def write_database_csv(path, moop, records) -> None:
+    """One CSV row per record: iteration, design, outputs, objectives, constraints, feasible.
+
+    The iteration and the design values go through ``csv.writer``, so
+    categorical levels are quoted as it quotes them.  The floats are each
+    record's ``float_text``, the shortest round-trip text that the
+    checkpoint journal holds too; for the finite values a database
+    stores, ``csv.writer`` would write the same text.
+    """
     header = (["iteration"]
               + [f"var_{v.name}" for v in moop.variables]
               + [f"sim_{s.name}_{j}" for s in moop.simulations for j in range(s.output_dim)]
               + [f"obj_{f.name}" for f in moop.objectives]
               + [f"con_{g.name}" for g in moop.constraints]
               + ["feasible"])
+    head = io.StringIO()
+    prefix = csv.writer(head)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for rec in records:
-            row = [rec.iteration] + [rec.design[v.name] for v in moop.variables]
-            for out in rec.sim_outputs:
-                row += out.tolist()
-            row += rec.objectives.tolist() + rec.constraints.tolist()
-            row.append(int(rec.feasible))
-            writer.writerow(row)
+            prefix.writerow([rec.iteration] + [rec.design[v.name] for v in moop.variables])
+            # The prefix's "\r\n" terminator is cut; an empty field
+            # (no constraints) adds no column.
+            fields = (head.getvalue()[:-2], *rec.float_text, "1" if rec.feasible else "0")
+            fh.write(",".join(filter(None, fields)) + "\r\n")
+            head.seek(0)
+            head.truncate()
 
 
 def write_pareto_csv(path, moop, archive) -> None:

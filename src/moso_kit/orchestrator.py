@@ -19,7 +19,10 @@ problem, the seed and the streams fix every solve.  Results merge in
 batch order so runs are reproducible for any worker count, and the
 whole solver state (database, penalty, RNG streams) round-trips
 through checkpoints: a small JSON state file plus an append-only
-journal of one JSON line per record.
+journal of one JSON line per record.  A journal line's floats are the
+record's ``float_text``, which ``database.csv`` shares, so each stored
+value is formatted once per run; the design goes through ``json.dumps``
+and must be JSON-encodable.
 """
 
 from __future__ import annotations
@@ -186,16 +189,17 @@ class MoopSolver:
             point = None
             if outcome.candidate is not None:
                 point = self._new_point(outcome.candidate, f"acquisition:{i}", batch_keys)
-            if point is None and models:
+            if point is None:
                 # A solve that converged onto an already-known point has
                 # exhausted its region; refine the model globally instead.
                 # A solve that could not make sufficient decrease still
                 # needs better local data, so it refines within its region.
-                # ``improve`` reads only the region and the data, so the
-                # global model stands in for a refit.
+                # ``improve`` reads only the region and the data, so it
+                # needs no model, and a problem without simulations gets
+                # improvement points too.
                 existing = np.vstack([latents, *(np.round(p.latent, 12) for p in batch.points)])
-                point = models[0].improve(
-                    cube if outcome.candidate is not None else region, existing,
+                point = RbfSurrogate.improve(
+                    None, cube if outcome.candidate is not None else region, existing,
                     self._acq_rngs[i],
                     lambda z: self._new_point(z, f"improve:{i}", batch_keys))
                 if point is None:
@@ -328,7 +332,10 @@ class MoopSolver:
         many journal lines are valid and their sha256, so a crash between
         the two writes leaves a journal tail that the next load ignores and
         the next save truncates.  The first save to a path rewrites the
-        journal, since whatever is there belongs to another run.
+        journal, since whatever is there belongs to another run.  The new
+        lines are encoded before either file is opened, so a design value
+        that JSON cannot encode raises CheckpointError and leaves both
+        files as they were.
         """
         path = os.fspath(path)
         records = self.database.records
@@ -337,12 +344,12 @@ class MoopSolver:
             mode = "r+b"
         else:
             count, offset, digest, mode = 0, 0, hashlib.sha256(), "wb"
+        lines = [_record_line(rec) for rec in records[count:]]
         digest = digest.copy()
         with open(journal_path(path), mode) as fh:
             fh.seek(offset)
             fh.truncate()
-            for rec in records[count:]:
-                line = _record_line(rec)
+            for line in lines:
                 digest.update(line)
                 fh.write(line)
             fh.flush()
@@ -453,14 +460,29 @@ def journal_path(path) -> str:
 
 
 def _record_line(rec) -> bytes:
-    """One record as a compact, newline-terminated JSON journal line."""
-    return (json.dumps({
-        "design": rec.design,
-        "outputs": [o.tolist() for o in rec.sim_outputs],
-        "objectives": rec.objectives.tolist(),
-        "constraints": rec.constraints.tolist(),
-        "iteration": rec.iteration,
-    }, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """One record as a compact, key-sorted, newline-terminated JSON journal line.
+
+    The lists are the record's ``float_text``; only the design goes
+    through ``json.dumps``.
+    """
+    *outputs, objectives, constraints = rec.float_text
+    try:
+        design = json.dumps(rec.design, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as err:
+        name, value = next((k, v) for k, v in rec.design.items() if not _encodable(v))
+        raise CheckpointError(f"variable {name!r}: a value of type {type(value).__name__} "
+                              f"cannot be written to a checkpoint ({err})") from err
+    return (f'{{"constraints":[{constraints}],"design":{design},"iteration":{rec.iteration},'
+            f'"objectives":[{objectives}],"outputs":[{",".join(f"[{o}]" for o in outputs)}]}}'
+            "\n").encode()
+
+
+def _encodable(value) -> bool:
+    try:
+        json.dumps(value)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _count(value, name) -> int:

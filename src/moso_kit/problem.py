@@ -9,6 +9,7 @@ is satisfied when its value is nonpositive.
 
 from __future__ import annotations
 
+import functools
 import logging
 import numbers
 import warnings
@@ -315,6 +316,20 @@ class EvalRecord:
     iteration: int
     feasible: bool
 
+    @functools.cached_property
+    def float_text(self) -> tuple:
+        """Each simulation's outputs, then the objectives, then the constraints as text.
+
+        Each entry joins its values' shortest round-trip text (``repr``)
+        with commas; a field with no values is ``""``.  The text is made
+        at first use and kept: the checkpoint journal line and the
+        ``database.csv`` row are both built from it, so each value is
+        formatted once.  Stored values are finite, and for a finite float
+        JSON and ``csv.writer`` write this same text.
+        """
+        return tuple(",".join(map(float.__repr__, a.tolist()))
+                     for a in (*self.sim_outputs, self.objectives, self.constraints))
+
 
 def latent_key(z: np.ndarray) -> bytes:
     """Uniqueness key for latent coordinates (quantized at 1e-12)."""
@@ -328,8 +343,8 @@ class EvaluationDatabase:
     outputs) is one array with a row per record that doubles when full;
     the first record fixes the widths.  Record fields and ``*_matrix``
     results are read-only views of those rows, so each value is stored
-    once.  Mutations must happen on the control thread; reads are safe
-    anywhere.
+    once.  Every stored value is finite.  Mutations must happen on the
+    control thread; reads are safe anywhere.
     """
 
     def __init__(self, plan: embedding.EmbeddingPlan):
@@ -353,6 +368,8 @@ class EvaluationDatabase:
         shapes = [f.shape[1:] for f in self._fields] or [(r.size,) for r in rows]
         if [r.shape for r in rows] != shapes:
             raise ValueError(f"row shapes {[r.shape for r in rows]} differ from {shapes}")
+        if not all(np.isfinite(r).all() for r in rows[1:]):
+            raise ValueError("simulation outputs, objectives and constraints must be finite")
         n = len(self.records)
         if not self._fields or n == len(self._fields[0]):
             capacity = max(64, 2 * n)

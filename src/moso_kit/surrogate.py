@@ -283,6 +283,11 @@ class RbfSurrogate:
         IMPROVE_TRIES uniform draws in the region, then 10 * IMPROVE_TRIES
         in the whole cube.  Returns ``accept(z)`` for the first draw ``z``
         where it is not None, or None when every draw is rejected.
+
+        Reads no model state: ``MoopSolver.iterate`` calls it as
+        ``RbfSurrogate.improve(None, ...)``, so a problem with no
+        simulations, hence no model, gets improvement points too.  It
+        stays a method so that ``perfbench/recorder.py`` can time it.
         """
         pts = np.asarray(points, dtype=float)
         dim = len(region.center)

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import io
 import json
 import logging
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,18 @@ import pytest
 from click.testing import CliRunner
 
 from moso_kit import _blas, testbed
-from moso_kit.cli import hv_trajectory, load_config, main, write_metrics_csv
+from moso_kit.cli import hv_trajectory, load_config, main, write_database_csv, write_metrics_csv
 from moso_kit.metrics import hypervolume
-from moso_kit.orchestrator import problem_fingerprint
-from moso_kit.problem import EvaluationDatabase, validate
+from moso_kit.orchestrator import _record_line, problem_fingerprint
+from moso_kit.problem import (
+    AcquisitionSpec,
+    DesignVariable,
+    EvaluationDatabase,
+    MoopDefinition,
+    SimulationSpec,
+    identity_objective,
+    validate,
+)
 
 from helpers import random_design
 
@@ -582,3 +592,80 @@ def test_bench_scaling_reports_walltimes():
 def test_version_flag():
     result = run_cli(["--version"])
     assert result.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# Record text: the journal line and the database.csv row share one
+# formatting pass.  These are the writers that formatted each file on its
+# own, kept as references.
+
+def reference_record_line(rec):
+    return (json.dumps({
+        "design": rec.design,
+        "outputs": [o.tolist() for o in rec.sim_outputs],
+        "objectives": rec.objectives.tolist(),
+        "constraints": rec.constraints.tolist(),
+        "iteration": rec.iteration,
+    }, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def reference_database_csv(moop, records):
+    header = (["iteration"]
+              + [f"var_{v.name}" for v in moop.variables]
+              + [f"sim_{s.name}_{j}" for s in moop.simulations for j in range(s.output_dim)]
+              + [f"obj_{f.name}" for f in moop.objectives]
+              + [f"con_{g.name}" for g in moop.constraints]
+              + ["feasible"])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for rec in records:
+        row = [rec.iteration] + [rec.design[v.name] for v in moop.variables]
+        for out in rec.sim_outputs:
+            row += out.tolist()
+        row += rec.objectives.tolist() + rec.constraints.tolist()
+        row.append(int(rec.feasible))
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e16, -1e16, 1e-7, 3.0, 0.1, 1 / 3, 1e22,
+               9007199254740993.0, sys.float_info.max, -sys.float_info.max]
+LEVELS = ("plain", "a,b", 'say "hi"', "two\nlines", " padded ")
+
+
+def formatter_moop(n_constraints):
+    variables = [DesignVariable("x", "continuous", 0.0, 1.0),
+                 DesignVariable("k", "integer", 0, 9),
+                 DesignVariable("level", "categorical", levels=LEVELS)]
+    return validate(MoopDefinition(
+        variables=variables,
+        simulations=[SimulationSpec("wide", 4, lambda d: np.zeros(4)),
+                     SimulationSpec("one", 1, lambda d: np.zeros(1))],
+        objectives=[identity_objective("f1", 0), identity_objective("f2", 4)],
+        constraints=[identity_objective(f"g{j}", j) for j in range(n_constraints)],
+        acquisitions=[AcquisitionSpec("random_weight")],
+    ))
+
+
+@pytest.mark.parametrize("n_constraints", [0, 2])
+def test_record_text_matches_the_json_and_csv_writers(tmp_path, n_constraints):
+    # One record per edge value, in every field, then random float64 bit
+    # patterns (the finite ones).
+    moop = formatter_moop(n_constraints)
+    rng = np.random.default_rng(7 + n_constraints)
+    width = 4 + 1 + 2 + n_constraints
+    bits = rng.integers(0, 2**64, size=400 * width, dtype=np.uint64).view(np.float64)
+    rows = [np.full(width, v) for v in EDGE_FLOATS]
+    rows += list(np.where(np.isfinite(bits), bits, 1.5).reshape(400, width))
+    db = EvaluationDatabase(moop.plan)
+    for n, values in enumerate(rows):
+        design = {"x": float(rng.uniform()), "k": int(rng.integers(10)),
+                  "level": LEVELS[n % len(LEVELS)]}
+        db.add(design, [values[:4], values[4:5]], values[5:7], values[7:], int(rng.integers(5)))
+
+    for rec in db.records:
+        assert _record_line(rec) == reference_record_line(rec)
+    write_database_csv(tmp_path / "database.csv", moop, db.records)
+    assert (tmp_path / "database.csv").read_bytes() == reference_database_csv(moop, db.records)

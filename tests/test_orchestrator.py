@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -176,7 +177,7 @@ def test_stalled_solve_yields_improvement_inside_local_region(monkeypatch):
     assert gap <= region.radius + 1e-12
 
 
-def test_problem_without_simulations_is_solved():
+def test_problem_without_simulations_is_solved(caplog):
     # Objectives that read only the design need no simulation; the
     # problem's q0 sizes the initial design.
     moop = MoopDefinition(
@@ -190,9 +191,13 @@ def test_problem_without_simulations_is_solved():
     )
     with pytest.warns(UserWarning, match="no simulations"):
         solver = MoopSolver(moop)
-    result = solver.solve(30)
-    assert 10 < result.evaluations <= 30
-    assert len(result.database) == result.evaluations
+    with caplog.at_level(logging.WARNING):
+        result = solver.solve(30)
+    # A slot whose solve returns no new point gets an improvement point
+    # with no model to draw it from, so no slot of an iteration is dropped.
+    assert not [r for r in caplog.records if "dropped" in r.getMessage()]
+    assert result.evaluations == len(result.database) == 30
+    assert np.bincount([r.iteration for r in result.database.records]).tolist() == [10] + [2] * 10
     assert all(r.sim_outputs == () for r in result.database.records)
     assert_archive_is_a_rebuild(result.archive, result.database.records)
 
@@ -562,6 +567,52 @@ def test_checkpoint_resume_with_numpy_valued_custom_variable(tmp_path):
     assert all(type(r.design["level"]) is int for r in result.database.records)
     assert np.array_equal(result.database.objective_matrix(),
                           straight.database.objective_matrix())
+
+
+def array_level_moop(arrays):
+    """A custom variable whose values become 1-element arrays once ``arrays`` is non-empty."""
+    level = CustomEmbedder(
+        width=1, to_latent=lambda v: np.ravel(v) / 8.0,
+        from_latent=lambda z: np.array([8.0 * z[0]]) if arrays else 8.0 * z[0])
+    return MoopDefinition(
+        variables=[DesignVariable("x", "continuous", 0.0, 1.0),
+                   DesignVariable("level", "custom", embedder=level)],
+        simulations=[SimulationSpec(
+            "shift", 2, lambda d: np.array([d["x"] - 0.3, float(np.ravel(d["level"])[0]) / 8.0]),
+            local=True)],
+        objectives=[sum_of_squares_objective("near_low", [0]),
+                    sum_of_squares_objective("near_high", [1])],
+        acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+        q0=6,
+        rng_seed=3,
+    )
+
+
+def test_checkpoint_save_names_a_design_value_json_cannot_encode(tmp_path):
+    arrays = []
+    path = tmp_path / "state.json"
+    solver = MoopSolver(array_level_moop(arrays), checkpoint_path=str(path))
+    solver.solve(8)
+    saved = path.read_bytes(), Path(journal_path(path)).read_bytes()
+
+    arrays.append(True)
+    with pytest.raises(CheckpointError, match="variable 'level': a value of type ndarray"):
+        solver.solve(10)
+    assert (path.read_bytes(), Path(journal_path(path)).read_bytes()) == saved
+    # The first save to a new path writes nothing either.
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(CheckpointError, match="variable 'level'"):
+        MoopSolver(array_level_moop(arrays), checkpoint_path=str(fresh)).solve(6)
+    assert not fresh.exists() and not Path(journal_path(fresh)).exists()
+
+    arrays.clear()
+    resumed = MoopSolver.checkpoint_load(str(path), array_level_moop(arrays)).solve(10)
+    assert resumed.evaluations == 10
+
+
+def test_a_run_without_checkpoints_formats_no_record():
+    result = MoopSolver(bowl_moop(q0=6)).solve(12)
+    assert not any("float_text" in vars(r) for r in result.database.records)
 
 
 def test_checkpoint_rejects_problem_with_edited_terms(tmp_path):

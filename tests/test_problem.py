@@ -353,6 +353,19 @@ def test_database_rejects_a_row_of_the_wrong_width(field):
     assert db.objective_matrix().shape == (2, 1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["output", "objective", "constraint"])
+def test_database_rejects_non_finite_values(field, value):
+    db = make_database()
+    row = {"output": np.array([1.0, 2.0]), "objective": np.array([1.0]),
+           "constraint": np.array([0.0])}
+    row[field][0] = value
+    with pytest.raises(ValueError, match="finite"):
+        db.add({"x1": 0.1, "RT": 100.0}, [row["output"]], row["objective"], row["constraint"], 0)
+    assert len(db) == 0
+    assert not db.has_key(latent_key(embed(db.plan, {"x1": 0.1, "RT": 100.0})))
+
+
 def test_stored_objectives_recompute_bitwise():
     moop = validate(calibration_definition())
     db = EvaluationDatabase(moop.plan)
