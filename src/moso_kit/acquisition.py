@@ -24,15 +24,18 @@ and at the kink of an exact hinge its steps fail the line search until
 they are tiny; the smooth penalty has a gradient everywhere.
 ``stack_states`` lays states out as one ``(S, 4, o)`` table, which
 ``scalarize_stack`` and its gradient score rows under in one array
-pass; ``scalarize`` and the start selection go through them too.
+pass; ``scalarize`` and the start selection go through them too.  The
+gradient's logistic function (the softplus' derivative) is computed
+with libm's ``exp`` (``_expit``), which gives the bits of
+``scipy.special.expit`` without importing ``scipy.special``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .problem import AcquisitionSpec, EvaluationDatabase
 
@@ -150,7 +153,22 @@ def scalarize_stack_gradient(table: np.ndarray, slots: np.ndarray,
                              objs: np.ndarray) -> np.ndarray:
     """d(scalarize)/df at each row ``objs[r]`` under state ``slots[r]`` of ``table``: (B, o)."""
     w, eps, p, c = table[slots].transpose(1, 0, 2)
-    return w + RHO * (expit((objs - eps) / c) * p)
+    t = (objs - eps) / c
+    return w + RHO * (np.fromiter(map(_expit, t.ravel().tolist()), float, t.size)
+                      .reshape(t.shape) * p)
+
+
+def _expit(x: float) -> float:
+    """The logistic function ``1 / (1 + exp(-x))``, with libm's ``exp``.
+
+    These are the bits of ``scipy.special.expit``; numpy's own ``exp``
+    differs from libm's in the last bit for some arguments.  An ``exp``
+    that overflows gives 0.0, as ``1 / (1 + inf)`` does.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def select_start(state: ScalarizationState, database: EvaluationDatabase,

@@ -13,16 +13,20 @@ each model together, so a global kernel system is factored only when
 some slot predicts with it; every refit of the iteration is alive until
 the batch returns.  The outcomes become batch points in slot order, and
 each slot draws from its own RNG stream, so the draws are those of
-slots run one after another.  The inner solve has no settings and the
-constraint penalty follows a fixed schedule (``PENALTY_*``), so the
-problem, the seed and the streams fix every solve.  Results merge in
+slots run one after another.  The database's latent distances are kept
+across iterations (``KeptDistances``): an iteration computes only its
+new rows', and every model reads them from there.  The inner solve has
+no settings and the constraint penalty follows a fixed schedule
+(``PENALTY_*``), so the problem, the seed and the streams fix every
+solve.  Results merge in
 batch order so runs are reproducible for any worker count, and the
 whole solver state (database, penalty, RNG streams) round-trips
 through checkpoints: a small JSON state file plus an append-only
 journal of one JSON line per record.  A journal line's floats are the
 record's ``float_text``, which ``database.csv`` shares, so each stored
-value is formatted once per run; the design goes through ``json.dumps``
-and must be JSON-encodable.
+value is formatted once per run, and a resumed run takes each restored
+record's text from its line; the design goes through ``json.dumps`` and
+must be JSON-encodable.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .problem import (
     validate,
 )
 from .search import lhs_search
-from .surrogate import RbfSurrogate, TrustRegion, trust_region
+from .surrogate import KeptDistances, RbfSurrogate, TrustRegion, trust_region
 
 logger = logging.getLogger(__name__)
 
@@ -136,6 +140,8 @@ class MoopSolver:
         # (path, records, byte offset, running sha256) of the journal as of
         # the last save or load, so a save appends without reading it.
         self._journal = None
+        # The database's latent distances, grown by each iteration's new rows.
+        self._distances = KeptDistances()
 
     # -- iteration ---------------------------------------------------------
 
@@ -156,7 +162,8 @@ class MoopSolver:
             raise MosoError("no evaluations available to build surrogates from")
 
         latents = self.database.latent_matrix()
-        models = [RbfSurrogate.fit(latents, self.database.outputs_matrix(i))
+        distances = self._distances.update(latents) if self.moop.simulations else None
+        models = [RbfSurrogate.fit(latents, self.database.outputs_matrix(i), distances)
                   for i in range(len(self.moop.simulations))]
         archive = self.archive.update(self.database.records)
 
@@ -425,7 +432,7 @@ class MoopSolver:
                         raise CheckpointError(f"journal {journal_path(path)} holds {n} of "
                                               f"{count} records")
                     digest.update(line)
-                    solver._restore_record(json.loads(line), n, path)
+                    solver._restore_record(line, n, path)
                 offset = fh.tell()
             if digest.hexdigest() != state["records"]["sha256"]:
                 raise CheckpointError(f"journal {journal_path(path)} does not match the "
@@ -435,7 +442,8 @@ class MoopSolver:
         solver._journal = (path, count, offset, digest)
         return solver
 
-    def _restore_record(self, rec, n, path) -> None:
+    def _restore_record(self, line, n, path) -> None:
+        rec = json.loads(line)
         x = rec["design"]
         s = [np.asarray(o, dtype=float) for o in rec["outputs"]]
         f = np.asarray(rec["objectives"], dtype=float)
@@ -451,7 +459,14 @@ class MoopSolver:
         if not same:
             raise CheckpointError(f"record {n} of {path} does not match the problem's "
                                   "objectives or constraints")
-        self.database.add(x, s, f, g, rec["iteration"])
+        record = self.database.add(x, s, f, g, rec["iteration"])
+        # The line holds the record's float text; it is kept when it
+        # rebuilds the line exactly, so the run's database.csv reuses it.
+        text = _line_float_text(line)
+        if text is not None:
+            vars(record)["float_text"] = text
+            if _record_line(record) != line:
+                del vars(record)["float_text"]
 
 
 def journal_path(path) -> str:
@@ -475,6 +490,22 @@ def _record_line(rec) -> bytes:
     return (f'{{"constraints":[{constraints}],"design":{design},"iteration":{rec.iteration},'
             f'"objectives":[{objectives}],"outputs":[{",".join(f"[{o}]" for o in outputs)}]}}'
             "\n").encode()
+
+
+def _line_float_text(line: bytes):
+    """The ``float_text`` that ``_record_line`` wrote into ``line``, or None.
+
+    The constraints come first in the key-sorted line, and the objectives
+    and outputs last, after the design, which may hold any string.
+    """
+    text = line.decode()
+    head, tail = '{"constraints":[', text.rfind('"objectives":[')
+    end = text.find("]")
+    if not text.startswith(head) or tail < 0 or end < 0 or not text.endswith("]}\n"):
+        return None
+    objectives, _, outputs = text[tail + len('"objectives":['):-3].partition('],"outputs":[')
+    return (*(outputs[1:-1].split("],[") if outputs else ()), objectives,
+            text[len(head):end])
 
 
 def _encodable(value) -> bool:

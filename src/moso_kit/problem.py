@@ -324,7 +324,8 @@ class EvalRecord:
         with commas; a field with no values is ``""``.  The text is made
         at first use and kept: the checkpoint journal line and the
         ``database.csv`` row are both built from it, so each value is
-        formatted once.  Stored values are finite, and for a finite float
+        formatted once; a record restored from a checkpoint takes it from
+        its journal line.  Stored values are finite, and for a finite float
         JSON and ``csv.writer`` write this same text.
         """
         return tuple(",".join(map(float.__repr__, a.tolist()))

@@ -8,10 +8,17 @@ the kernel system (shape parameter, nugget, coefficients and the cached
 expansion terms below) is built at the model's first prediction,
 Jacobian or uncertainty and kept from then on, so a model that is only
 localized or asked for improvement points never factors its kernel.
-The build does not keep the Cholesky factor: only the uncertainty reads
-it, and factors the system again at its first call.  A model does not
-change after its build; trust-region localization returns a new model
-fitted on nearby data.
+The build does not keep the Cholesky factor or the outputs' spread:
+only the uncertainty reads them, and makes them at its first call.  A
+model does not change after its build; trust-region localization
+returns a new model fitted on nearby data.
+
+The system starts from the centers' pairwise distances
+(``pairwise_distances``, the bits of scipy's ``cdist``).  ``fit`` can
+take them from a ``KeptDistances`` matrix that the solver grows by the
+new rows of each iteration; a local refit then takes the submatrix of
+its nearby rows.  The Cholesky factor and solve are LAPACK's, through
+``_blas``.
 
 Predictions take a block of latent rows at once (``evaluate_rows``) and
 expand the kernel exponent as ``-eps**2 * (|z|**2 - 2 z.c + |c|**2)``
@@ -28,14 +35,13 @@ rows without forming any Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
-from ._blas import one_thread
+from ._blas import cho_factor, cho_solve, one_thread
 from .problem import MosoError
 
 NUGGET_SCALE = 1e-8
@@ -74,8 +80,69 @@ def trust_region(center: np.ndarray, points: np.ndarray, n_design: int) -> Trust
     return TrustRegion(center=center, radius=float(d[n_design]))
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances (A, B) between the rows of ``a`` and the rows of ``b``.
+
+    Each distance sums the squared coordinate differences in coordinate
+    order and then takes the square root: the order of scipy's ``cdist``,
+    whose bits it gives, and the same bits whichever point comes first.
+    The sums are built in the result by whole-block passes.  A distance
+    that overflows is inf, as in ``cdist``.
+    """
+    a_t = np.ascontiguousarray(np.asarray(a, dtype=float).T)
+    b_t = np.ascontiguousarray(np.asarray(b, dtype=float).T)
+    out = np.empty((a_t.shape[1], b_t.shape[1]))
+    if not len(a_t):
+        out.fill(0.0)
+    diff = np.empty(out.shape) if len(a_t) > 1 else None
+    with np.errstate(over="ignore"):  # an inf distance, as cdist gives it
+        for k, (ak, bk) in enumerate(zip(a_t, b_t)):
+            square = diff if k else out
+            np.subtract.outer(ak, bk, out=square)
+            np.square(square, out=square)
+            if k:
+                out += square
+    return np.sqrt(out, out=out)
+
+
+class KeptDistances:
+    """The pairwise distances of a growing set of latent points, kept between calls.
+
+    ``update`` takes every point so far, the points of its last call
+    first, and computes only the distances of the new rows.  The matrix
+    doubles its capacity when full, as ``EvaluationDatabase`` does its
+    fields.
+    """
+
+    def __init__(self):
+        self._matrix = np.empty((0, 0))
+        self._n = 0
+
+    def update(self, points: np.ndarray) -> np.ndarray:
+        """The (N, N) distances of ``points`` (N, l): a read-only view later updates keep."""
+        old, n = self._n, len(points)
+        if n < old:
+            raise ValueError(f"{n} points, fewer than the {old} of the last update")
+        if n > len(self._matrix):
+            capacity = max(64, len(self._matrix))
+            while capacity < n:
+                capacity *= 2
+            grown = np.empty((capacity, capacity))
+            grown[:old, :old] = self._matrix[:old, :old]
+            self._matrix = grown
+        # Built in a contiguous block: numpy's passes over a strided one are slower.
+        new = pairwise_distances(points[old:n], points[:n])
+        self._matrix[old:n, :n] = new
+        self._matrix[:old, old:n] = new[:, :old].T
+        self._n = n
+        view = self._matrix[:n, :n]
+        view.flags.writeable = False
+        return view
+
+
 #: The kernel system: what ``RbfSurrogate._build`` sets on a model from
-#: ``fit``, and the Cholesky factor, which only the uncertainty reads.
+#: ``fit``, and the Cholesky factor and outputs' spread, which only the
+#: uncertainty reads.
 _SYSTEM = frozenset({"coef", "eps", "nugget", "_cho", "out_std", "_e2", "_scaled_t",
                      "_scaled_sq"})
 
@@ -86,14 +153,15 @@ class RbfSurrogate:
     def __init__(self, centers, coef, eps, nugget, cho, out_std, values):
         self.centers = centers          # (N, latent_dim)
         self.values = values            # (N, m), kept for refits
+        self._distances = None
         self._cho = cho
-        self._set_system(coef, eps, nugget, out_std)
+        self.out_std = out_std          # (m,)
+        self._set_system(coef, eps, nugget)
 
-    def _set_system(self, coef, eps, nugget, out_std):
+    def _set_system(self, coef, eps, nugget):
         self.coef = coef                # (N, m)
         self.eps = eps
         self.nugget = nugget
-        self.out_std = out_std          # (m,)
         # The kernel exponent -eps**2 * |z - c|**2 is expanded as
         # z . (2 eps**2 c) - eps**2 |c|**2 - eps**2 |z|**2.
         e2 = eps ** 2
@@ -104,13 +172,16 @@ class RbfSurrogate:
     def __getattr__(self, name):
         # Reached only for an attribute that is not set: a model from
         # ``fit`` builds its kernel system at the first read of any part.
-        # The build does not keep the Cholesky factor, which only the
-        # uncertainty reads: an iteration keeps every refit of its slots
-        # alive, and the factor would add N**2 floats to each.
+        # The build does not keep the Cholesky factor or the outputs'
+        # spread, which only the uncertainty reads: an iteration keeps
+        # every refit of its slots alive, and the factor would add N**2
+        # floats to each.
         if name not in _SYSTEM:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         if name == "_cho":
             self._cho = self._factor()[0]
+        elif name == "out_std":
+            self.out_std = self.values.std(axis=0)
         else:
             self._build()
         return self.__dict__[name]
@@ -124,11 +195,14 @@ class RbfSurrogate:
         return self.values.shape[1]
 
     @classmethod
-    def fit(cls, points, values) -> "RbfSurrogate":
+    def fit(cls, points, values, distances=None) -> "RbfSurrogate":
         """A model of latent points (N, l) and outputs (N, m).
 
         The data is checked and kept here; the kernel system is built at
         the model's first prediction (``_build``) and kept from then on.
+        ``distances`` is the points' (N, N) ``pairwise_distances`` matrix,
+        for example a ``KeptDistances`` view; it is read, never written,
+        and without it the build computes the distances itself.
         """
         pts = np.asarray(points, dtype=float)
         val = np.asarray(values, dtype=float)
@@ -138,10 +212,17 @@ class RbfSurrogate:
             raise SurrogateError("points and values disagree on length")
         if len(pts) == 0:
             raise SurrogateError("cannot fit to an empty data set")
+        if not (np.isfinite(pts).all() and np.isfinite(val).all()):
+            raise SurrogateError("points and values must be finite")
+        if distances is not None and np.shape(distances) != (len(pts), len(pts)):
+            raise SurrogateError(f"distances of shape {np.shape(distances)} for "
+                                 f"{len(pts)} points")
         if len({p.tobytes() for p in pts}) != len(pts):
             raise SurrogateError("duplicate centers")
         model = cls.__new__(cls)
         model.centers, model.values = pts, val
+        # (matrix, rows): the distances are ``matrix``, or its submatrix of ``rows``.
+        model._distances = None if distances is None else (distances, None)
         return model
 
     def _system(self):
@@ -154,17 +235,27 @@ class RbfSurrogate:
         evaluations into small neighborhoods (a nearest-neighbor
         statistic collapses there, degrading the model into a lookup
         table of the data with spurious zeros between clusters).  The
-        system is assembled inside the distance matrix, so the build
-        holds one N x N array.
+        system is assembled inside a C-ordered copy of the distance
+        matrix (or of the rows it takes from a kept one), so the build
+        holds one N x N array of its own.  A shape parameter whose square
+        is 0 or inf (points too far apart or too close for float64) would
+        put NaN into the system, so it raises SurrogateError.
         """
         pts = self.centers
         n = len(pts)
-        system = cdist(pts, pts)
+        if self._distances is None:
+            system = pairwise_distances(pts, pts)
+        else:
+            matrix, rows = self._distances
+            system = np.array(matrix, order="C") if rows is None else matrix[np.ix_(rows, rows)]
         eps = 1.0
         if n > 1:
             mean_pair = system.sum() / (n * (n - 1))
             if mean_pair > 0:
                 eps = 1.0 / (np.sqrt(2.0) * mean_pair)
+            if not 0.0 < float(eps) * float(eps) < math.inf:
+                raise SurrogateError(f"kernel shape parameter {eps:.3g} out of range "
+                                     f"(mean pair distance {mean_pair:.3g})")
         np.square(system, out=system)
         system *= -(eps ** 2)
         np.exp(system, out=system)
@@ -176,14 +267,14 @@ class RbfSurrogate:
         """The Cholesky factor, shape parameter and nugget of the data's kernel system.
 
         The system is factored in place through its transpose, the
-        Fortran-ordered view LAPACK works on: ``cdist`` computes each
-        pair's distance the same way in both orders, so the transpose is
-        the same system to the last bit.
+        Fortran-ordered view LAPACK works on: ``pairwise_distances``
+        computes each pair's distance the same way in both orders, so the
+        transpose is the same system to the last bit.
         """
         system, eps, nugget = self._system()
         try:
             with one_thread():
-                cho = cho_factor(system.T, lower=True, overwrite_a=True)
+                cho = cho_factor(system.T)
         except np.linalg.LinAlgError as err:
             raise SurrogateError(
                 f"singular kernel system (cond ~ {np.linalg.cond(self._system()[0]):.3g})"
@@ -195,7 +286,7 @@ class RbfSurrogate:
         cho, eps, nugget = self._factor()
         with one_thread():
             coef = cho_solve(cho, self.values)
-        self._set_system(coef, eps, nugget, self.values.std(axis=0))
+        self._set_system(coef, eps, nugget)
 
     def _kvec(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel values (N,) at one latent point, and its differences ``z - c`` (N, l)."""
@@ -270,7 +361,14 @@ class RbfSurrogate:
         nearby = np.linalg.norm(self.centers - region.center, axis=1) <= 2.0 * region.radius
         if nearby.sum() < 2:
             return self
-        return RbfSurrogate.fit(self.centers[nearby], self.values[nearby])
+        refit = RbfSurrogate.fit(self.centers[nearby], self.values[nearby])
+        if self._distances is not None:
+            # The refit's build copies the submatrix of its rows; until then
+            # it holds only their indices.
+            matrix, rows = self._distances
+            nearby = np.flatnonzero(nearby)
+            refit._distances = matrix, nearby if rows is None else rows[nearby]
+        return refit
 
     def improve(self, region: TrustRegion, points, rng: np.random.Generator,
                 accept: Callable[[np.ndarray], Any]) -> Any:

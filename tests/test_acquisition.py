@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from moso_kit.acquisition import (
     FALLBACK_WIDTH,
     RHO,
     WIDTH_FRACTION,
     ScalarizationState,
+    _expit,
     refresh,
     scalarize,
     scalarize_stack,
@@ -215,6 +217,31 @@ def test_scalarize_gradient_epsilon_matches_finite_differences():
     for state, f, grad in zip([states[s] for s in slots], objs, grads):
         np.testing.assert_array_equal(
             scalarize_stack_gradient(stack_states([state], 3), one, f[None])[0], grad)
+
+
+def test_expit_is_scipy_special_expit_bit_for_bit():
+    rng = np.random.default_rng(31)
+    near = np.array([709.78, 745.0, 745.2, 746.0, 1e308, np.inf, 0.0, 5e-324, 36.0, 37.0])
+    x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.normal(0.0, 40.0, 20000),
+                        rng.normal(0.0, 800.0, 5000), near, -near,
+                        np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+                        np.nextafter(-near, np.inf), np.nextafter(-near, -np.inf)])
+    got = np.array([_expit(v) for v in x.tolist()])
+    np.testing.assert_array_equal(got.view(np.int64), expit(x).view(np.int64))
+    assert np.isnan(_expit(float("nan")))
+
+
+def test_scalarize_gradient_is_the_one_of_scipy_special_expit():
+    rng = np.random.default_rng(32)
+    states = [ScalarizationState("random_epsilon_constraint", target=t,
+                                 epsilons=rng.normal(size=3), widths=10.0 ** rng.uniform(-4, 1, 3))
+              for t in range(3)] + [ScalarizationState("random_weight", weights=np.ones(3) / 3)]
+    table = stack_states(states, 3)
+    slots = rng.integers(len(states), size=500)
+    objs = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-3, 3, (500, 1))
+    w, eps, p, c = table[slots].transpose(1, 0, 2)
+    want = w + RHO * (expit((objs - eps) / c) * p)
+    np.testing.assert_array_equal(scalarize_stack_gradient(table, slots, objs), want)
 
 
 def test_select_start_weighted_examples():

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import logging
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import moso_kit
 from moso_kit import _blas, testbed
 from moso_kit.cli import hv_trajectory, load_config, main, write_database_csv, write_metrics_csv
 from moso_kit.metrics import hypervolume
@@ -136,6 +139,42 @@ def test_checkpointed_rerun_matches_uninterrupted_outputs(tmp_path):
     for name in ("database.csv", "pareto.csv", "metrics.csv"):
         assert ((straight / name).read_bytes()
                 == (resumed / name).read_bytes()), name
+
+
+SCIPY_SUBMODULES = ("scipy.linalg", "scipy.special", "scipy.spatial")
+
+LOADED_AFTER_A_RUN = """
+import json, sys
+import moso_kit.cli
+loaded = {"import": [m for m in sys.modules if m.startswith(SUBMODULES)]}
+import numpy as np
+from moso_kit import MoopSolver, RbfSurrogate, testbed
+MoopSolver(testbed.dtlz2_moop(n=3, o=2, q0=10, batch=3, seed=1, local=True)).solve(22)
+model = RbfSurrogate.fit(np.random.default_rng(0).random((30, 2)), np.ones((30, 1)))
+model.uncertainty(np.full(2, 0.5))
+for budget in (15, 24):
+    moso_kit.cli.main(["run", "--config", CONFIG, "--budget", str(budget), "--checkpoint",
+                       CHECKPOINT, "--out", OUT], standalone_mode=False)
+loaded["run"] = [m for m in sys.modules if m.startswith(SUBMODULES)]
+print(json.dumps(loaded))
+"""
+
+
+def test_the_package_and_whole_runs_load_no_scipy_submodule(tmp_path):
+    if _blas._potrf is None:
+        pytest.skip("scipy's bundled OpenBLAS is not found, so scipy.linalg factors the "
+                    "kernel systems")
+    cfg_path = write_config(tmp_path, small_config())
+    prelude = (f"SUBMODULES = {SCIPY_SUBMODULES!r}\nCONFIG = {str(cfg_path)!r}\n"
+               f"CHECKPOINT = {str(tmp_path / 'state.json')!r}\nOUT = {str(tmp_path / 'out')!r}\n")
+    src = str(Path(moso_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", prelude + LOADED_AFTER_A_RUN], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "run": []}
+    assert len(read_csv(tmp_path / "out" / "database.csv")) - 1 == 24
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 """Solver loop tests: budgets, dedup, batch merging, penalties, checkpoints."""
 
+import functools
 import hashlib
 import json
 import logging
@@ -25,6 +26,7 @@ from moso_kit.problem import (
     AcquisitionSpec,
     CustomEmbedder,
     DesignVariable,
+    EvalRecord,
     MoopDefinition,
     ObjectiveSpec,
     SimulationSpec,
@@ -613,6 +615,75 @@ def test_checkpoint_save_names_a_design_value_json_cannot_encode(tmp_path):
 def test_a_run_without_checkpoints_formats_no_record():
     result = MoopSolver(bowl_moop(q0=6)).solve(12)
     assert not any("float_text" in vars(r) for r in result.database.records)
+
+
+def journal_lookalike_moop():
+    """Two simulations, a constraint, and design values that look like journal fields."""
+    listed = CustomEmbedder(width=1, to_latent=lambda v: np.array([v[0]]),
+                            from_latent=lambda z: [float(z[0])])
+    return MoopDefinition(
+        variables=[DesignVariable("x", "continuous", 0.0, 1.0),
+                   DesignVariable("objectives", "custom", embedder=listed),
+                   DesignVariable("level", "categorical", levels=('],"outputs":[[', "plain"))],
+        simulations=[
+            SimulationSpec("shift", 2, lambda d: np.array([d["x"] - 0.3,
+                                                           d["objectives"][0] - 0.8]), local=True),
+            SimulationSpec("tilt", 1, lambda d: np.array([d["x"] + (d["level"] == "plain")]),
+                           local=False)],
+        objectives=[sum_of_squares_objective("near_low", [0]),
+                    sum_of_squares_objective("near_high", [1])],
+        constraints=[sum_of_squares_constraint("cap", [2], cap=1.5)],
+        acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+        q0=6,
+        rng_seed=5,
+    )
+
+
+def count_formatting(monkeypatch):
+    """The records whose float text is made from their values from now on."""
+    formatted, make = [], EvalRecord.float_text.func
+
+    def counted(record):
+        formatted.append(record)
+        return make(record)
+
+    text = functools.cached_property(counted)
+    text.__set_name__(EvalRecord, "float_text")
+    monkeypatch.setattr(EvalRecord, "float_text", text)
+    return formatted
+
+
+@pytest.mark.parametrize("make", [journal_lookalike_moop, lambda: bowl_moop(q0=6)],
+                         ids=["lookalike", "bowl"])
+def test_restored_records_carry_the_journal_text(tmp_path, make, monkeypatch):
+    path = tmp_path / "state.json"
+    saved = MoopSolver(make(), checkpoint_path=str(path)).solve(12).database.records
+    formatted = count_formatting(monkeypatch)
+    restored = MoopSolver.checkpoint_load(str(path), make()).database.records
+    assert formatted == []
+    assert len(restored) == len(saved) == 12
+    for record, original in zip(restored, saved):
+        assert vars(record)["float_text"] == original.float_text
+        assert original.float_text == EvalRecord.float_text.func(record)
+        assert orchestrator._record_line(record) == orchestrator._record_line(original)
+
+
+def test_restored_text_is_kept_only_when_it_rebuilds_the_line(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
+    lines = journal_lines(path)
+    written = lines[2]
+    # A line that loads to the same record but is not the one
+    # ``_record_line`` writes (a space after the design's colon).
+    lines[2] = lines[2].replace(b'"design":{"x":', b'"design":{"x": ')
+    Path(journal_path(path)).write_bytes(b"".join(lines))
+    edit_state(path, records={"count": 9, "sha256": hashlib.sha256(b"".join(lines)).hexdigest()})
+
+    formatted = count_formatting(monkeypatch)
+    restored = MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6)).database.records
+    assert ["float_text" in vars(r) for r in restored] == [i != 2 for i in range(9)]
+    assert lines[2] != written and orchestrator._record_line(restored[2]) == written
+    assert formatted == [restored[2]]
 
 
 def test_checkpoint_rejects_problem_with_edited_terms(tmp_path):

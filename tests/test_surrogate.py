@@ -10,9 +10,11 @@ from moso_kit.problem import latent_key
 from moso_kit.surrogate import (
     IMPROVE_TRIES,
     NUGGET_SCALE,
+    KeptDistances,
     RbfSurrogate,
     SurrogateError,
     TrustRegion,
+    pairwise_distances,
     trust_region,
 )
 
@@ -118,10 +120,30 @@ def test_duplicate_centers_rejected():
 @pytest.mark.parametrize("points, values, message", [
     ([[0.1, 0.1], [0.2, 0.1]], np.zeros((3, 1)), "disagree on length"),
     (np.empty((0, 2)), np.empty((0, 1)), "empty data set"),
+    ([[0.1, np.nan], [0.2, 0.1]], np.zeros((2, 1)), "must be finite"),
+    ([[0.1, 0.1], [np.inf, 0.1]], np.zeros((2, 1)), "must be finite"),
+    ([[0.1, 0.1], [0.2, 0.1]], [[0.0], [np.nan]], "must be finite"),
+    ([[0.1, 0.1], [0.2, 0.1]], [[-np.inf, 1.0], [0.0, 1.0]], "must be finite"),
 ])
 def test_fit_rejects_bad_data_at_once(points, values, message):
     with pytest.raises(SurrogateError, match=message):
         RbfSurrogate.fit(np.asarray(points), values)
+
+
+def test_fit_rejects_distances_of_the_wrong_shape():
+    pts = np.random.default_rng(2).random((4, 2))
+    with pytest.raises(SurrogateError, match="distances of shape"):
+        RbfSurrogate.fit(pts, np.zeros((4, 1)), cdist(pts[:3], pts[:3]))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_a_shape_parameter_out_of_range_raises_at_the_first_prediction(scale):
+    # Points this close (or far) square the shape parameter to inf (or
+    # 0), which would put NaN into the kernel system.
+    pts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    model = RbfSurrogate.fit(pts, np.ones((3, 1)))
+    with pytest.raises(SurrogateError, match="shape parameter"):
+        model.evaluate(pts[0])
 
 
 def eager_model(pts, vals):
@@ -157,6 +179,117 @@ def test_kernel_system_built_in_place_matches_the_plain_expression(n, dim):
     (got, got_lower), got_eps, got_nugget = model._factor()
     assert got_lower == lower and got_eps == eps and got_nugget == nugget
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 20])
+def test_pairwise_distances_are_cdist_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    for n, k in [(2, 2), (9, 4), (150, 150), (333, 17)]:
+        a, b = rng.random((k, dim)), rng.random((n, dim))
+        np.testing.assert_array_equal(pairwise_distances(a, b), cdist(a, b))
+        np.testing.assert_array_equal(pairwise_distances(b, b), cdist(b, b))
+    # Coordinates of every magnitude, equal coordinates and -0.0.
+    pts = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-150, 150, (60, 1))
+    pts[::7, 0] = pts[1, 0]
+    pts[::11, -1] = -0.0
+    np.testing.assert_array_equal(pairwise_distances(pts, pts), cdist(pts, pts))
+    assert pairwise_distances(np.empty((3, 0)), np.empty((2, 0))).tolist() == [[0.0] * 2] * 3
+
+
+@pytest.mark.parametrize("dim", [1, 4, 13])
+def test_kept_distances_are_cdist_across_growth_and_as_submatrices(dim):
+    rng = np.random.default_rng(40 + dim)
+    pts = rng.random((300, dim))
+    kept, views = KeptDistances(), []
+    # Past the doubling boundaries at 64, 128 and 256.
+    for n in (10, 10, 64, 65, 72, 128, 200, 257, 300):
+        view = kept.update(pts[:n])
+        want = cdist(pts[:n], pts[:n])
+        np.testing.assert_array_equal(view, want)
+        assert not view.flags.writeable
+        views.append((view, want))
+        nearby = rng.random(n) < 0.4
+        np.testing.assert_array_equal(view[np.ix_(nearby, nearby)],
+                                      cdist(pts[:n][nearby], pts[:n][nearby]))
+    for view, want in views:  # later updates leave earlier views as they were
+        np.testing.assert_array_equal(view, want)
+    with pytest.raises(ValueError, match="fewer than"):
+        kept.update(pts[:299])
+
+
+def test_models_on_kept_distances_match_models_that_compute_their_own():
+    rng = np.random.default_rng(23)
+    pts = rng.random((90, 3))
+    vals = np.column_stack([np.sin(4.0 * pts).sum(axis=1), (pts ** 2).sum(axis=1)])
+    kept = RbfSurrogate.fit(pts, vals, KeptDistances().update(pts))
+    own = RbfSurrogate.fit(pts, vals)
+    region = trust_region(pts[5], pts, n_design=3)
+    local_kept, local_own = kept.set_center(region), own.set_center(region)
+    assert 2 <= local_kept.n_points < kept.n_points
+    assert local_own._distances is None
+    # A refit of a refit takes the submatrix of the kept matrix's rows too.
+    inner = local_kept.set_center(trust_region(local_kept.centers[0], local_kept.centers, 1))
+    inner_own = local_own.set_center(trust_region(local_own.centers[0], local_own.centers, 1))
+    assert 2 <= inner.n_points < local_kept.n_points
+    rows = rng.random((5, 3))
+    for a, b in [(kept, own), (local_kept, local_own), (inner, inner_own)]:
+        system, want = a._system()[0], b._system()[0]
+        assert system.flags.c_contiguous
+        np.testing.assert_array_equal(system, want)
+        for call in predictions(rows).values():
+            np.testing.assert_array_equal(call(a), call(b))
+        assert a.eps == b.eps and a.nugget == b.nugget
+
+
+def test_direct_lapack_calls_match_scipy_linalg():
+    rng = np.random.default_rng(24)
+    for n, m in [(1, 1), (7, 3), (150, 198)]:
+        x = rng.random((n, 5))
+        system = np.exp(-cdist(x, x) ** 2) + 1e-8 * np.eye(n)
+        b = rng.random((n, m))
+        with _blas.one_thread():
+            c, lower = _blas.cho_factor(np.array(system.T, order="F"))
+            want_c, want_lower = cho_factor(system, lower=True)
+            got, want = _blas.cho_solve((c, lower), b), cho_solve((want_c, want_lower), b)
+            got1, want1 = _blas.cho_solve((c, lower), b[:, 0]), cho_solve((want_c, True), b[:, 0])
+        assert lower == want_lower
+        np.testing.assert_array_equal(c, want_c)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got1, want1)
+        assert got.flags.f_contiguous and got.shape == (n, m) and got1.shape == (n,)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        _blas.cho_factor(np.asfortranarray(np.diag([1.0, -1.0])))
+
+
+def test_without_the_lapack_entry_points_models_use_scipy_linalg_to_the_same_bits(monkeypatch):
+    if _blas._potrf is None:
+        pytest.skip("scipy's bundled OpenBLAS is not found: scipy.linalg is the only path")
+    rng = np.random.default_rng(25)
+    pts = rng.random((120, 6))
+    vals = np.sin(pts @ rng.uniform(-2.0, 2.0, (6, 4)))
+    direct = RbfSurrogate.fit(pts, vals)
+    rows = rng.random((5, 6))
+    want = {name: call(direct) for name, call in predictions(rows).items()}
+    (want_c, _), _, _ = direct._factor()
+
+    monkeypatch.setattr(_blas, "_potrf", None)
+    monkeypatch.setattr(_blas, "_potrs", None)
+    fallback = RbfSurrogate.fit(pts, vals)
+    (c, lower), _, _ = fallback._factor()
+    assert lower is True
+    np.testing.assert_array_equal(c, want_c)
+    np.testing.assert_array_equal(fallback.coef, direct.coef)
+    for name, call in predictions(rows).items():
+        np.testing.assert_array_equal(call(fallback), want[name])
+
+
+def test_the_outputs_spread_is_built_only_for_the_uncertainty():
+    pts, vals, model = fit_random(np.random.default_rng(26), n=30)
+    model.evaluate_rows(pts[:3])
+    model.vjp_rows(pts[:3], np.ones((3, 2)))
+    assert "out_std" not in vars(model) and "_cho" not in vars(model)
+    model.uncertainty(pts[0] + 0.01)
+    np.testing.assert_array_equal(model.out_std, vals.std(axis=0))
 
 
 def predictions(rows):
