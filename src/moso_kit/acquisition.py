@@ -24,7 +24,8 @@ and at the kink of an exact hinge its steps fail the line search until
 they are tiny; the smooth penalty has a gradient everywhere.
 ``stack_states`` lays states out as one ``(S, 4, o)`` table, which
 ``scalarize_stack`` and its gradient score rows under in one array
-pass; ``scalarize`` and the start selection go through them too.  The
+pass; ``scalarize`` goes through them too, and the start selection
+scores every slot's state against every record in one pass.  The
 gradient's logistic function (the softplus' derivative) is computed
 with libm's ``exp`` (``_expit``), which gives the bits of
 ``scipy.special.expit`` without importing ``scipy.special``.
@@ -171,22 +172,21 @@ def _expit(x: float) -> float:
         return 0.0
 
 
-def select_start(state: ScalarizationState, database: EvaluationDatabase,
-                 penalty_lambda: float) -> int:
-    """Index of the evaluated record to center this acquisition's solve on.
+def select_start(states, database: EvaluationDatabase, penalty_lambda: float) -> list[int]:
+    """Index of the evaluated record to center each state's solve on, one per state.
 
-    The best feasible record under the scalarization; with nothing
-    feasible, the best scalarized-plus-penalized-violation record.  Ties
-    go to the earliest record.
+    The best feasible record under the state's scalarization; with
+    nothing feasible, the best scalarized-plus-penalized-violation
+    record.  Ties go to the earliest record.  Every state scores every
+    record in one ``scalarize_stack`` pass.
     """
     if len(database) == 0:
         raise ValueError("cannot select a start point from an empty database")
-    objs = database.objective_matrix()
-    scores = scalarize_stack(stack_states([state], objs.shape[1]),
-                             np.zeros(len(objs), dtype=np.intp), objs)
-    feas = database.feasible_mask()
-    if feas.any():
-        idx = np.flatnonzero(feas)
-        return int(idx[np.argmin(scores[idx])])
-    viol = np.maximum(database.constraint_matrix(), 0.0).sum(axis=1)
-    return int(np.argmin(scores + penalty_lambda * viol))
+    objs, feas = database.objective_matrix(), database.feasible_mask()
+    rows = np.flatnonzero(feas) if feas.any() else np.arange(len(objs))
+    scores = scalarize_stack(stack_states(states, objs.shape[1]),
+                             np.arange(len(states)).repeat(len(rows)),
+                             np.tile(objs[rows], (len(states), 1))).reshape(-1, len(rows))
+    if not feas.any():
+        scores += penalty_lambda * np.maximum(database.constraint_matrix(), 0.0).sum(axis=1)
+    return rows[np.argmin(scores, axis=1)].tolist()

@@ -51,7 +51,8 @@ Term references (output indices, ``coeffs``, ``variable``) are checked
 against the simulation outputs and numeric variables at load, and
 ``scale``, ``const`` and ``cap`` must be finite numbers.  The ``dtlz2``
 testbed takes no categorical variable.  Exit
-codes: 0 on success, 2 for config problems, 3 for runtime failures.
+codes: 0 on success, 2 for config problems (a budget below the initial
+design among them), 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -458,6 +459,9 @@ def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
         }
         (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1),
                                            encoding="utf-8")
+    except ValidationError as err:  # a budget below the initial design
+        click.echo(f"config error: {err}", err=True)
+        sys.exit(2)
     except Exception as err:  # noqa: BLE001 - boundary: map everything to exit 3
         click.echo(f"runtime error: {err}", err=True)
         sys.exit(3)
@@ -558,6 +562,9 @@ def bench_scaling(workers_list, sim_delay, budget) -> None:
             result = solver.solve(budget)
             elapsed = time.perf_counter() - started
             click.echo(f"{w},{elapsed:.3f},{result.evaluations}")
+    except ValidationError as err:  # a budget below the initial design
+        click.echo(f"config error: {err}", err=True)
+        sys.exit(2)
     except Exception as err:  # noqa: BLE001
         click.echo(f"runtime error: {err}", err=True)
         sys.exit(3)

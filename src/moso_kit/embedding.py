@@ -10,7 +10,8 @@ to the nearest vertex.
 
 Latent layout: non-categorical variables in declaration order (custom
 variables occupy their declared width), followed by the joint
-categorical block.
+categorical block.  ``pairwise_distances`` gives the Euclidean
+distances between latent points.
 """
 
 from __future__ import annotations
@@ -168,3 +169,28 @@ def extract(plan: EmbeddingPlan, z: np.ndarray) -> dict:
         j = int(np.argmin(dists))
         x.update(_decode_combo(plan, j))
     return x
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances (A, B) between the rows of ``a`` and the rows of ``b``.
+
+    Each distance sums the squared coordinate differences in coordinate
+    order and then takes the square root: the order of scipy's ``cdist``,
+    whose bits it gives, and the same bits whichever point comes first.
+    The sums are built in the result by whole-block passes.  A distance
+    that overflows is inf, as in ``cdist``.
+    """
+    a_t = np.ascontiguousarray(np.asarray(a, dtype=float).T)
+    b_t = np.ascontiguousarray(np.asarray(b, dtype=float).T)
+    out = np.empty((a_t.shape[1], b_t.shape[1]))
+    if not len(a_t):
+        out.fill(0.0)
+    diff = np.empty(out.shape) if len(a_t) > 1 else None
+    with np.errstate(over="ignore"):  # an inf distance, as cdist gives it
+        for k, (ak, bk) in enumerate(zip(a_t, b_t)):
+            square = diff if k else out
+            np.subtract.outer(ak, bk, out=square)
+            np.square(square, out=square)
+            if k:
+                out += square
+    return np.sqrt(out, out=out)

@@ -19,13 +19,14 @@ steps each buy less than a thousandth of what it has already gained.
 
 ``solve_batch`` solves every slot of an iteration at once, with array
 state: the slots' points, values, gradients, inverse Hessians and boxes
-sit in stacked arrays, and a slot that finishes leaves them.  The
-backtracking trials ``alpha = 2**-j`` are evaluated in blocks, as
-sub-rounds over the slots still searching (``_line_search``).  A
-slot's first block holds one trial more than its previous iteration
-needed, later blocks ``TRIAL_BLOCK``, and the first trial in sequence
-order that passes is accepted, so blocks change which points are
-evaluated, not which one is taken.
+sit in stacked arrays, and a slot that finishes leaves them.  A line
+search computes all ``MAX_TRIALS`` backtracking trials
+``alpha = 2**-j`` of every slot, their steps and their Armijo bounds
+once, then evaluates them in blocks, as sub-rounds over the slots still
+searching (``_line_search``).  A slot's first block holds one trial
+more than its previous iteration needed, later blocks ``TRIAL_BLOCK``,
+and the first trial in sequence order that passes is accepted, so
+blocks change which points are evaluated, not which one is taken.
 
 One ``_Stack`` holds every slot of the batch.  Each slot has its own
 scalarization and its own models: a local refit, or the global ones.
@@ -290,42 +291,37 @@ def _line_search(stack, slots, z, f, g, d, lo, hi, first_block):
     """Armijo backtracking along ``alpha = 2**-j`` for ``j < MAX_TRIALS``, for every row.
 
     Row i searches from ``z[i]`` (value ``f[i]``, gradient ``g[i]``)
-    along ``d[i]`` inside ``[lo[i], hi[i]]`` for slot ``slots[i]``.  Each
-    sub-round evaluates the next block of every row still searching in
-    one ``stack.values`` call: ``first_block[i]`` trials first, then
+    along ``d[i]`` inside ``[lo[i], hi[i]]`` for slot ``slots[i]``.  The
+    trials and their Armijo bounds are computed once; each sub-round
+    evaluates the next window of every row still searching in one
+    ``stack.values`` call: ``first_block[i]`` trials first, then
     ``TRIAL_BLOCK``.  A row accepts its first trial in sequence order
-    that passes, and fails once a trial no longer moves its point or
-    every trial fails.  Returns ``(accepted, z_new, f_new, count)``, with
-    ``count`` the accepted trial's ``j + 1``.
+    that passes, and fails at its first trial that does not move its
+    point or once every trial fails.  Returns ``(accepted, z_new, f_new,
+    count)``, with ``count`` the accepted trial's ``j + 1``.
     """
-    accepted = np.zeros(len(z), dtype=bool)
+    k = np.arange(MAX_TRIALS)
+    # np.minimum/np.maximum give np.clip's values at less overhead.
+    trials = np.minimum(np.maximum(z[:, None] + (0.5 ** k)[:, None] * d[:, None],
+                                   lo[:, None]), hi[:, None])
+    steps = trials - z[:, None]
+    moving = steps.any(axis=2)
+    n_moving = np.where(moving.all(axis=1), MAX_TRIALS, moving.argmin(axis=1))
+    bounds = f[:, None] + ARMIJO_C * np.vecdot(steps, g[:, None])
+    values = np.full(moving.shape, np.nan)
     z_new, f_new, count = z.copy(), f.copy(), np.zeros(len(z), dtype=int)
-    # Every row keeps its place; a row that stopped searching has width 0.
-    j, width = np.zeros(len(z), dtype=int), np.minimum(first_block, MAX_TRIALS)
-    z, d, lo, hi, f, g = z[:, None], d[:, None], lo[:, None], hi[:, None], f[:, None], g[:, None]
-    while width.any():
-        # One column past the widest block is never tried, so each row's
-        # block ends at its first column that is not a moving trial.
-        k = np.arange(width.max() + 1)
-        alphas = 0.5 ** (j[:, None] + k)
-        # np.minimum/np.maximum give np.clip's values at less overhead.
-        trials = np.minimum(np.maximum(z + alphas[:, :, None] * d, lo), hi)
-        steps = trials - z
-        n = ((k < width[:, None]) & steps.any(axis=2)).argmin(axis=1)
-        tried = k < n[:, None]
-        values = np.full(tried.shape, np.nan)
-        values[tried] = stack.values(slots.repeat(n), trials[tried])
-        passed = values <= f + ARMIJO_C * np.vecdot(steps, g)
+    # Row i's window is [begin[i], end[i]); an empty one has stopped.
+    begin, end = np.zeros(len(z), dtype=int), np.minimum(first_block, n_moving)
+    while (end > begin).any():
+        window = (k >= begin[:, None]) & (k < end[:, None])
+        values[window] = stack.values(slots.repeat(end - begin), trials[window])
+        passed = window & (values <= bounds)
         hit = passed.any(axis=1)
-        if hit.any():
-            at = passed.argmax(axis=1)[hit]
-            accepted[hit] = True
-            z_new[hit], f_new[hit] = trials[hit, at], values[hit, at]
-            count[hit] = j[hit] + at + 1
-        j += n
-        width = np.where(~hit & (n == width) & (n > 0),
-                         np.minimum(TRIAL_BLOCK, MAX_TRIALS - j), 0)
-    return accepted, z_new, f_new, count
+        at = passed.argmax(axis=1)[hit]
+        z_new[hit], f_new[hit], count[hit] = trials[hit, at], values[hit, at], at + 1
+        go_on = (end > begin) & ~hit
+        begin, end = end, np.where(go_on, np.minimum(end + TRIAL_BLOCK, n_moving), end)
+    return count > 0, z_new, f_new, count
 
 
 def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float) -> list[SolveOutcome]:

@@ -2,10 +2,11 @@
 
 Iteration 0 evaluates a space-filling design of the problem's ``q0``
 points over the latent cube.  Every later iteration refits the
-surrogates, refreshes each acquisition and selects its start record,
-then solves each penalized subproblem inside a trust region around its
-start, swaps duplicates for model-improvement points, and sends the
-resulting batch to a worker pool.  Slots that share a start share one trust region and one
+surrogates, refreshes each acquisition, selects every slot's start
+record in one pass (``acquisition.select_start``), then solves each
+penalized subproblem inside a trust region around its start, swaps
+duplicates for model-improvement points, and sends the resulting batch
+to a worker pool.  Slots that share a start share one trust region and one
 localization (``set_center``), so they get the same model objects: a
 local refit, or the global models.  All q slots of an iteration are
 solved by one ``optimizer.solve_batch``, which predicts the rows of
@@ -13,9 +14,10 @@ each model together, so a global kernel system is factored only when
 some slot predicts with it; every refit of the iteration is alive until
 the batch returns.  The outcomes become batch points in slot order, and
 each slot draws from its own RNG stream, so the draws are those of
-slots run one after another.  The database's latent distances are kept
-across iterations (``KeptDistances``): an iteration computes only its
-new rows', and every model reads them from there.  The inner solve has
+slots run one after another.  The database keeps its latent distances
+(``EvaluationDatabase.latent_distances``): an iteration computes only
+its new records' rows, every model reads them from there, and a problem
+without simulations never builds them.  The inner solve has
 no settings and the constraint penalty follows a fixed schedule
 (``PENALTY_*``), so the problem, the seed and the streams fix every
 solve.  Results merge in
@@ -57,7 +59,7 @@ from .problem import (
     validate,
 )
 from .search import lhs_search
-from .surrogate import KeptDistances, RbfSurrogate, TrustRegion, trust_region
+from .surrogate import RbfSurrogate, TrustRegion, trust_region
 
 logger = logging.getLogger(__name__)
 
@@ -140,8 +142,6 @@ class MoopSolver:
         # (path, records, byte offset, running sha256) of the journal as of
         # the last save or load, so a save appends without reading it.
         self._journal = None
-        # The database's latent distances, grown by each iteration's new rows.
-        self._distances = KeptDistances()
 
     # -- iteration ---------------------------------------------------------
 
@@ -162,8 +162,8 @@ class MoopSolver:
             raise MosoError("no evaluations available to build surrogates from")
 
         latents = self.database.latent_matrix()
-        distances = self._distances.update(latents) if self.moop.simulations else None
-        models = [RbfSurrogate.fit(latents, self.database.outputs_matrix(i), distances)
+        models = [RbfSurrogate.fit(latents, self.database.outputs_matrix(i),
+                                   self.database.latent_distances())
                   for i in range(len(self.moop.simulations))]
         archive = self.archive.update(self.database.records)
 
@@ -171,12 +171,11 @@ class MoopSolver:
         batch_keys: set[bytes] = set()
         cube = TrustRegion(center=np.full(self.moop.latent_dim, 0.5), radius=0.5)
 
-        # Every slot refreshes and picks its start first; each draws from
-        # its own RNG stream, so the order of the draws changes nothing.
+        # Every slot refreshes, drawing from its own RNG stream, and then
+        # every slot's start is picked in one pass.
         states = [acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o)
                   for i, spec in enumerate(self.moop.acquisitions)]
-        starts = [acq.select_start(state, self.database, self.penalty)
-                  for state in states]
+        starts = acq.select_start(states, self.database, self.penalty)
         # One region and one localization per distinct start, shared by
         # every slot with that start; all slots are solved in one batch.
         localized, regions, slot_models = {}, [], []
@@ -384,15 +383,15 @@ class MoopSolver:
         self._journal = (path, len(records), offset, digest)
 
     @classmethod
-    def checkpoint_load(cls, path, moop, workers: int = 1,
-                        checkpoint_path=None) -> "MoopSolver":
+    def checkpoint_load(cls, path, moop, workers: int = 1) -> "MoopSolver":
         """Rebuild a solver mid-run from a checkpoint of the same problem.
 
         Replays the first ``count`` journal lines the state file names and
         checks their sha256; later lines are a torn tail and are ignored.
         Every record's objectives and constraints are recomputed from its
         design and simulation outputs; a mismatch means the problem was
-        edited since the save and raises CheckpointError.
+        edited since the save and raises CheckpointError.  The solver goes
+        on checkpointing to ``path``.
         """
         path = os.fspath(path)
         try:
@@ -404,7 +403,7 @@ class MoopSolver:
             version = state["version"]
             if version != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint version {version}")
-            solver = cls(moop, workers=workers, checkpoint_path=checkpoint_path or path)
+            solver = cls(moop, workers=workers, checkpoint_path=path)
             if state["problem"] != problem_fingerprint(solver.moop):
                 raise CheckpointError("checkpoint was written for a different problem")
             solver.iteration = _count(state["iteration"], "iteration")

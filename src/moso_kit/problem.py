@@ -344,8 +344,9 @@ class EvaluationDatabase:
     outputs) is one array with a row per record that doubles when full;
     the first record fixes the widths.  Record fields and ``*_matrix``
     results are read-only views of those rows, so each value is stored
-    once.  Every stored value is finite.  Mutations must happen on the
-    control thread; reads are safe anywhere.
+    once.  Every stored value is finite.  The latent points' pairwise
+    distances are kept too (``latent_distances``).  Mutations must
+    happen on the control thread; reads are safe anywhere.
     """
 
     def __init__(self, plan: embedding.EmbeddingPlan):
@@ -353,6 +354,8 @@ class EvaluationDatabase:
         self.records: list[EvalRecord] = []
         self._index: dict[bytes, int] = {}
         self._fields: list[np.ndarray] = []  # latent, objectives, constraints, *outputs
+        self._distances = np.empty((0, 0))
+        self._distance_rows = 0  # records whose distances are computed
 
     def __len__(self) -> int:
         return len(self.records)
@@ -417,6 +420,27 @@ class EvaluationDatabase:
 
     def feasible_mask(self) -> np.ndarray:
         return (self.constraint_matrix() <= FEASIBILITY_TOL).all(axis=1)
+
+    def latent_distances(self) -> np.ndarray:
+        """The (N, N) ``embedding.pairwise_distances`` of the records' latent points.
+
+        A read-only view that later calls leave as it is.  A call computes
+        only the rows of the records added since the last one; the matrix
+        is built at the first call and grows to the capacity of the fields.
+        """
+        old, n = self._distance_rows, len(self.records)
+        if n > len(self._distances):
+            capacity = len(self._fields[0])
+            grown = np.empty((capacity, capacity))
+            grown[:old, :old] = self._distances[:old, :old]
+            self._distances = grown
+        latents = self.latent_matrix()
+        # Built in a contiguous block: numpy's passes over a strided one are slower.
+        new = embedding.pairwise_distances(latents[old:], latents)
+        self._distances[old:n, :n] = new
+        self._distances[:old, old:n] = new[:, :old].T
+        self._distance_rows = n
+        return _readonly(self._distances[:n, :n])
 
 
 def _readonly(view: np.ndarray) -> np.ndarray:

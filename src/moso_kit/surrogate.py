@@ -14,11 +14,12 @@ model does not change after its build; trust-region localization
 returns a new model fitted on nearby data.
 
 The system starts from the centers' pairwise distances
-(``pairwise_distances``, the bits of scipy's ``cdist``).  ``fit`` can
-take them from a ``KeptDistances`` matrix that the solver grows by the
-new rows of each iteration; a local refit then takes the submatrix of
-its nearby rows.  The Cholesky factor and solve are LAPACK's, through
-``_blas``.
+(``embedding.pairwise_distances``, the bits of scipy's ``cdist``).
+``fit`` can take them from the evaluation database, which keeps its
+latent distances and computes only the rows of new records
+(``EvaluationDatabase.latent_distances``); a local refit then takes the
+submatrix of its nearby rows.  The Cholesky factor and solve are
+LAPACK's, through ``_blas``.
 
 Predictions take a block of latent rows at once (``evaluate_rows``) and
 expand the kernel exponent as ``-eps**2 * (|z|**2 - 2 z.c + |c|**2)``
@@ -42,6 +43,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ._blas import cho_factor, cho_solve, one_thread
+from .embedding import pairwise_distances
 from .problem import MosoError
 
 NUGGET_SCALE = 1e-8
@@ -78,66 +80,6 @@ def trust_region(center: np.ndarray, points: np.ndarray, n_design: int) -> Trust
     if len(d) < n_design + 1:
         return TrustRegion(center=center, radius=1.0)
     return TrustRegion(center=center, radius=float(d[n_design]))
-
-
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances (A, B) between the rows of ``a`` and the rows of ``b``.
-
-    Each distance sums the squared coordinate differences in coordinate
-    order and then takes the square root: the order of scipy's ``cdist``,
-    whose bits it gives, and the same bits whichever point comes first.
-    The sums are built in the result by whole-block passes.  A distance
-    that overflows is inf, as in ``cdist``.
-    """
-    a_t = np.ascontiguousarray(np.asarray(a, dtype=float).T)
-    b_t = np.ascontiguousarray(np.asarray(b, dtype=float).T)
-    out = np.empty((a_t.shape[1], b_t.shape[1]))
-    if not len(a_t):
-        out.fill(0.0)
-    diff = np.empty(out.shape) if len(a_t) > 1 else None
-    with np.errstate(over="ignore"):  # an inf distance, as cdist gives it
-        for k, (ak, bk) in enumerate(zip(a_t, b_t)):
-            square = diff if k else out
-            np.subtract.outer(ak, bk, out=square)
-            np.square(square, out=square)
-            if k:
-                out += square
-    return np.sqrt(out, out=out)
-
-
-class KeptDistances:
-    """The pairwise distances of a growing set of latent points, kept between calls.
-
-    ``update`` takes every point so far, the points of its last call
-    first, and computes only the distances of the new rows.  The matrix
-    doubles its capacity when full, as ``EvaluationDatabase`` does its
-    fields.
-    """
-
-    def __init__(self):
-        self._matrix = np.empty((0, 0))
-        self._n = 0
-
-    def update(self, points: np.ndarray) -> np.ndarray:
-        """The (N, N) distances of ``points`` (N, l): a read-only view later updates keep."""
-        old, n = self._n, len(points)
-        if n < old:
-            raise ValueError(f"{n} points, fewer than the {old} of the last update")
-        if n > len(self._matrix):
-            capacity = max(64, len(self._matrix))
-            while capacity < n:
-                capacity *= 2
-            grown = np.empty((capacity, capacity))
-            grown[:old, :old] = self._matrix[:old, :old]
-            self._matrix = grown
-        # Built in a contiguous block: numpy's passes over a strided one are slower.
-        new = pairwise_distances(points[old:n], points[:n])
-        self._matrix[old:n, :n] = new
-        self._matrix[:old, old:n] = new[:, :old].T
-        self._n = n
-        view = self._matrix[:n, :n]
-        view.flags.writeable = False
-        return view
 
 
 #: The kernel system: what ``RbfSurrogate._build`` sets on a model from
@@ -201,8 +143,9 @@ class RbfSurrogate:
         The data is checked and kept here; the kernel system is built at
         the model's first prediction (``_build``) and kept from then on.
         ``distances`` is the points' (N, N) ``pairwise_distances`` matrix,
-        for example a ``KeptDistances`` view; it is read, never written,
-        and without it the build computes the distances itself.
+        for example the database's ``latent_distances()``; it is read,
+        never written, and without it the build computes the distances
+        itself.
         """
         pts = np.asarray(points, dtype=float)
         val = np.asarray(values, dtype=float)

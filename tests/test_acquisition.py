@@ -219,6 +219,7 @@ def test_scalarize_gradient_epsilon_matches_finite_differences():
             scalarize_stack_gradient(stack_states([state], 3), one, f[None])[0], grad)
 
 
+@pytest.mark.blas_threads
 def test_expit_is_scipy_special_expit_bit_for_bit():
     rng = np.random.default_rng(31)
     near = np.array([709.78, 745.0, 745.2, 746.0, 1e308, np.inf, 0.0, 5e-324, 36.0, 37.0])
@@ -231,6 +232,7 @@ def test_expit_is_scipy_special_expit_bit_for_bit():
     assert np.isnan(_expit(float("nan")))
 
 
+@pytest.mark.blas_threads
 def test_scalarize_gradient_is_the_one_of_scipy_special_expit():
     rng = np.random.default_rng(32)
     states = [ScalarizationState("random_epsilon_constraint", target=t,
@@ -248,74 +250,88 @@ def test_select_start_weighted_examples():
     db = make_database([[1.0, 2.0], [2.0, 1.0]])
     first = ScalarizationState("fixed_weight", weights=np.array([1.0, 0.0]))
     second = ScalarizationState("fixed_weight", weights=np.array([0.0, 1.0]))
-    assert select_start(first, db, 1.0) == 0
-    assert select_start(second, db, 1.0) == 1
+    assert select_start([first, second], db, 1.0) == [0, 1]
+    assert select_start([second, first, second], db, 1.0) == [1, 0, 1]
+    assert select_start([], db, 1.0) == []
 
 
 def test_select_start_epsilon_example():
     db = make_database([[1.0, 2.0], [2.0, 1.0]])
     state = ScalarizationState("random_epsilon_constraint", target=0,
                                epsilons=np.array([9.9, 1.0]), widths=np.array([0.01, 0.01]))
-    assert select_start(state, db, 1.0) == 1
+    assert select_start([state], db, 1.0) == [1]
 
 
 def test_select_start_tie_goes_to_earliest():
     db = make_database([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     state = ScalarizationState("fixed_weight", weights=np.array([0.5, 0.5]))
-    assert select_start(state, db, 1.0) == 0
+    assert select_start([state, state], db, 1.0) == [0, 0]
 
 
 def test_select_start_prefers_feasible_over_better_infeasible():
     db = make_database([[0.0, 0.0], [9.0, 9.0]], violations=[10.0, 0.0])
     state = ScalarizationState("fixed_weight", weights=np.array([0.5, 0.5]))
-    assert select_start(state, db, 1.0) == 1
+    assert select_start([state], db, 1.0) == [1]
 
 
 def test_select_start_all_infeasible_uses_penalized_score():
     db = make_database([[0.0, 0.0], [5.0, 5.0]], violations=[10.0, 0.001])
     state = ScalarizationState("fixed_weight", weights=np.array([0.5, 0.5]))
-    assert select_start(state, db, 1.0) == 1
-    assert select_start(state, db, 0.01) == 0
+    assert select_start([state], db, 1.0) == [1]
+    assert select_start([state], db, 0.01) == [0]
 
 
 def test_select_start_empty_database_raises():
     db = make_database([])
     state = ScalarizationState("fixed_weight", weights=np.array([1.0]))
     with pytest.raises(ValueError):
-        select_start(state, db, 1.0)
+        select_start([state], db, 1.0)
 
 
+@pytest.mark.blas_threads
 def test_select_start_matches_brute_force():
+    # The one pass over every state and record picks, for each state, the
+    # record that scoring it alone with ``scalarize`` picks.
     rng = np.random.default_rng(7)
+    all_infeasible = tied = 0
     for trial in range(100):
         n = int(rng.integers(1, 100))
-        viol = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 5.0, n), 0.0)
+        o = int(rng.integers(1, 5))
+        # Every third database has no feasible record.
+        infeasible = rng.random(n) < (1.0 if trial % 3 == 0 else 0.3)
+        viol = np.where(infeasible, rng.uniform(0.1, 5.0, n), 0.0)
         if trial % 2 == 0:
-            o = int(rng.integers(1, 4))
-            objs = np.round(rng.uniform(0.0, 3.0, (n, o)), 1)
-            w = rng.exponential(1.0, o)
-            state = ScalarizationState("random_weight", weights=w / w.sum())
+            # Records that repeat a few objective rows, so that scores tie.
+            objs = np.round(rng.uniform(0.0, 3.0, (4, o)), 1)[rng.integers(4, size=n)]
         else:
             # Continuous values, so that a change in summation order shows.
-            o = int(rng.integers(2, 6))
             objs = rng.uniform(0.0, 3.0, (n, o))
-            mix = rng.uniform()
-            state = ScalarizationState(
-                "random_epsilon_constraint", target=int(rng.integers(o)),
-                epsilons=mix * objs[rng.integers(n)] + (1.0 - mix) * objs[rng.integers(n)])
+        states = []
+        for _ in range(int(rng.integers(1, 6))):
+            if o == 1 or rng.random() < 0.5:
+                w = rng.exponential(1.0, o)
+                states.append(ScalarizationState("random_weight", weights=w / w.sum()))
+            else:
+                mix = rng.uniform()
+                states.append(ScalarizationState(
+                    "random_epsilon_constraint", target=int(rng.integers(o)),
+                    epsilons=mix * objs[rng.integers(n)] + (1.0 - mix) * objs[rng.integers(n)],
+                    widths=rng.uniform(0.01, 1.0, o)))
         db = make_database(objs, violations=viol)
         lam = float(rng.uniform(0.1, 100.0))
 
-        scores = np.array([scalarize(state, fv) for fv in objs])
-        assert np.array_equal(scalarize_stack(stack_states([state], o), np.zeros(n, dtype=np.intp),
-                                              db.objective_matrix()), scores)
-        feasible = viol <= 1e-8
-        if feasible.any():
-            candidates = np.flatnonzero(feasible)
-            expect = candidates[np.argmin(scores[candidates])]
-        else:
-            expect = np.argmin(scores + lam * viol)
-        assert select_start(state, db, lam) == expect
+        expect = []
+        for state in states:
+            scores = np.array([scalarize(state, fv) for fv in objs])
+            if infeasible.all():
+                scores = scores + lam * viol
+            else:
+                scores[infeasible] = np.inf
+            expect.append(int(np.argmin(scores)))
+            tied += np.count_nonzero(scores == scores.min()) > 1
+        all_infeasible += infeasible.all()
+        assert select_start(states, db, lam) == expect
+    assert all_infeasible and tied
 
 
 def test_refresh_rejects_unknown_kind():

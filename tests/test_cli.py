@@ -101,6 +101,7 @@ def test_run_writes_all_artifacts(tmp_path):
     assert meta["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 
+@pytest.mark.blas_threads
 def test_run_is_deterministic_for_a_seed(tmp_path):
     cfg_path = write_config(tmp_path, small_config())
     for sub in ("a", "b"):
@@ -119,6 +120,7 @@ def test_run_is_deterministic_for_a_seed(tmp_path):
     assert meta["seed"] == 9
 
 
+@pytest.mark.blas_threads
 def test_checkpointed_rerun_matches_uninterrupted_outputs(tmp_path):
     cfg_path = write_config(tmp_path, small_config())
     straight = tmp_path / "straight"
@@ -413,6 +415,20 @@ def test_seed_and_budget_types_are_config_errors(tmp_path, key, value):
     assert not out.exists()
 
 
+def test_a_budget_below_the_initial_design_is_a_config_error(tmp_path):
+    path, out = write_config(tmp_path, small_config()), tmp_path / "out"
+    for checkpoint in ([], ["--checkpoint", str(tmp_path / "state.json")]):
+        result = run_cli(["run", "--config", str(path), "--budget", "11", "--out", str(out),
+                          *checkpoint])
+        assert result.exit_code == 2, result.output
+        assert ("config error: budget 11 cannot cover the initial design of 12 points"
+                in result.output)
+        assert not out.exists() and not (tmp_path / "state.json").exists()
+    result = run_cli(["bench-scaling", "--workers-list", "1", "--budget", "5"])
+    assert result.exit_code == 2, result.output
+    assert "config error: budget 5 cannot cover the initial design of 16 points" in result.output
+
+
 @pytest.mark.parametrize("section", ["variables", "acquisitions"])
 @pytest.mark.parametrize("count", [0, -3, True, 2.0, "2"])
 def test_count_must_be_a_positive_integer(tmp_path, section, count):
@@ -523,12 +539,13 @@ def test_metrics_csv_without_a_reference_point(tmp_path):
 
 
 def test_runtime_errors_exit_3(tmp_path):
-    # Budget below the initial design is a solve-time failure.
-    path = write_config(tmp_path, small_config(budget=5))
-    result = run_cli(["run", "--config", str(path), "--out",
+    # An unreadable checkpoint is found when the run starts.
+    path, state = write_config(tmp_path, small_config()), tmp_path / "state.json"
+    state.write_text("not json", encoding="utf-8")
+    result = run_cli(["run", "--config", str(path), "--checkpoint", str(state), "--out",
                       str(tmp_path / "out")])
     assert result.exit_code == 3
-    assert "runtime error" in result.output
+    assert "runtime error: unreadable checkpoint" in result.output
 
 
 def write_database(tmp_path, rows, n_obj=3):

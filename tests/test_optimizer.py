@@ -313,9 +313,8 @@ def test_scaling_the_objectives_by_a_power_of_two_keeps_start_and_candidate():
         archive = ParetoArchive(designs=[{}] * len(front), objectives=c * front)
         database = make_database(c * objs)
         draws = np.random.default_rng(1)
-        for _ in range(10):
-            state = refresh(spec, archive, draws, 2)
-            start = select_start(state, database, 1.0)
+        states = [refresh(spec, archive, draws, 2) for _ in range(10)]
+        for state, start in zip(states, select_start(states, database, 1.0)):
             scores = scalarize_stack(stack_states([state], 2), np.zeros(len(objs), dtype=np.intp),
                                      c * objs)
             yield (state, scores, start,
@@ -647,7 +646,8 @@ def lockstep_slots(rng):
     return moop, [model], slots
 
 
-@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("seed", range(30))
 def test_solve_batch_matches_a_solve_per_slot(seed):
     moop, (model,), slots = lockstep_slots(np.random.default_rng(seed))
     # Every other slot predicts with a local refit of the global model.
@@ -664,7 +664,10 @@ def test_solve_batch_matches_a_solve_per_slot(seed):
         assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
         assert got.start_value == pytest.approx(want.start_value, rel=1e-9, abs=1e-12)
         if want.candidate is not None:
-            np.testing.assert_allclose(got.candidate, want.candidate, rtol=1e-9, atol=1e-12)
+            # Absolute on the unit cube: stacked rounding, amplified by the
+            # BFGS iterations, can move a small coordinate along a flat
+            # direction by more than 1e-9 of itself.
+            np.testing.assert_allclose(got.candidate, want.candidate, rtol=0.0, atol=1e-9)
     # Slots finished at different iterations, so finished slots left the
     # working arrays while others went on.
     assert len({got.iterations for got in together}) > 1
@@ -716,6 +719,7 @@ def two_simulation_moop(seed=0):
 TWO_SIM_BUDGET = 12 + 4 * 6
 
 
+@pytest.mark.blas_threads
 def test_two_simulation_slots_predict_and_solve_as_one_slot_each():
     # Every slot predicts with a local refit of "wave" and the one global
     # "ramp" model, so the stack has two model positions: slots differ in

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moso_kit import _blas, acquisition, optimizer, orchestrator, testbed
+from moso_kit import _blas, acquisition, embedding, optimizer, orchestrator, testbed
 from moso_kit.embedding import embed
 from moso_kit.metrics import ParetoArchive
 from moso_kit.orchestrator import (
@@ -179,10 +179,9 @@ def test_stalled_solve_yields_improvement_inside_local_region(monkeypatch):
     assert gap <= region.radius + 1e-12
 
 
-def test_problem_without_simulations_is_solved(caplog):
-    # Objectives that read only the design need no simulation; the
-    # problem's q0 sizes the initial design.
-    moop = MoopDefinition(
+def algebraic_moop():
+    """Objectives that read only the design, so the problem needs no simulation."""
+    return MoopDefinition(
         variables=[DesignVariable("a", "continuous", 0.0, 1.0),
                    DesignVariable("b", "continuous", 0.0, 1.0)],
         objectives=[variable_objective("fa", "a"),
@@ -191,8 +190,12 @@ def test_problem_without_simulations_is_solved(caplog):
                       AcquisitionSpec("random_epsilon_constraint")],
         q0=10,
     )
+
+
+def test_problem_without_simulations_is_solved(caplog):
+    # The problem's q0 sizes the initial design.
     with pytest.warns(UserWarning, match="no simulations"):
-        solver = MoopSolver(moop)
+        solver = MoopSolver(algebraic_moop())
     with caplog.at_level(logging.WARNING):
         result = solver.solve(30)
     # A slot whose solve returns no new point gets an improvement point
@@ -202,6 +205,25 @@ def test_problem_without_simulations_is_solved(caplog):
     assert np.bincount([r.iteration for r in result.database.records]).tolist() == [10] + [2] * 10
     assert all(r.sim_outputs == () for r in result.database.records)
     assert_archive_is_a_rebuild(result.archive, result.database.records)
+
+
+def test_latent_distances_are_computed_once_per_record_and_never_without_simulations(
+        monkeypatch):
+    computed, pairwise = [], embedding.pairwise_distances
+
+    def spy(a, b):
+        computed.append(len(a))
+        return pairwise(a, b)
+
+    monkeypatch.setattr(embedding, "pairwise_distances", spy)
+    with pytest.warns(UserWarning, match="no simulations"):
+        assert len(MoopSolver(algebraic_moop()).solve(30).database) == 30
+    assert computed == []
+    # Each fit computes the rows of the records evaluated since the last
+    # one; the last batch is never fitted.
+    database = MoopSolver(bowl_moop(q0=8)).solve(20).database
+    per_iteration = np.bincount([r.iteration for r in database.records]).tolist()
+    assert computed == per_iteration[:-1] == [8, 3, 3, 3]
 
 
 def test_solve_stops_when_an_iteration_proposes_nothing(caplog):
@@ -233,6 +255,7 @@ def test_solve_stops_when_an_iteration_proposes_nothing(caplog):
     assert any("proposed no unevaluated point" in r.message for r in caplog.records)
 
 
+@pytest.mark.blas_threads
 def test_worker_count_does_not_change_results():
     def run(workers):
         moop = testbed.dtlz2_moop(n=4, o=2, q0=12, batch=4, seed=3)
@@ -653,6 +676,7 @@ def count_formatting(monkeypatch):
     return formatted
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("make", [journal_lookalike_moop, lambda: bowl_moop(q0=6)],
                          ids=["lookalike", "bowl"])
 def test_restored_records_carry_the_journal_text(tmp_path, make, monkeypatch):
@@ -797,8 +821,10 @@ def test_load_with_another_checkpoint_path_writes_a_whole_journal(tmp_path):
     path, other = tmp_path / "state.json", tmp_path / "other.json"
     MoopSolver(bowl_moop(q0=6), checkpoint_path=str(path)).solve(9)
 
-    result = MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6),
-                                        checkpoint_path=str(other)).solve(12)
+    resumed = MoopSolver.checkpoint_load(str(path), bowl_moop(q0=6))
+    assert resumed.checkpoint_path == str(path)
+    resumed.checkpoint_path = str(other)
+    result = resumed.solve(12)
     assert len(journal_lines(other)) == len(result.database)
     reloaded = MoopSolver.checkpoint_load(str(other), bowl_moop(q0=6))
     assert np.array_equal(reloaded.database.objective_matrix(),
@@ -909,10 +935,10 @@ def test_every_slot_of_an_iteration_is_solved_in_one_batch(monkeypatch):
             shared_refits.append(k)
         return batch
 
-    def spy_select_start(state, database, lam):
-        start = select_start(state, database, lam)
-        starts.append(latent_key(database.records[start].latent))
-        return start
+    def spy_select_start(states, database, lam):
+        picked = select_start(states, database, lam)
+        starts.extend(latent_key(database.records[i].latent) for i in picked)
+        return picked
 
     def spy_set_center(model, region, local=True):
         local_model = set_center(model, region, local)
@@ -936,6 +962,7 @@ def test_every_slot_of_an_iteration_is_solved_in_one_batch(monkeypatch):
     assert mixed and shared_refits
 
 
+@pytest.mark.blas_threads
 def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
     built, globals_, centers, refitted, starts, all_refit = [], [], [], [], [], []
     iterate, select_start = MoopSolver.iterate, acquisition.select_start
@@ -956,10 +983,10 @@ def test_iteration_builds_only_the_surrogates_it_predicts_with(monkeypatch):
         assert sum(m is globals_[0] for m in built) == (0 if refit_only else 1)
         return batch
 
-    def spy_select_start(state, database, lam):
-        start = select_start(state, database, lam)
-        starts.append(latent_key(database.records[start].latent))
-        return start
+    def spy_select_start(states, database, lam):
+        picked = select_start(states, database, lam)
+        starts.extend(latent_key(database.records[i].latent) for i in picked)
+        return picked
 
     def spy_build(model):
         built.append(model)

@@ -6,15 +6,14 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from moso_kit import _blas, surrogate
-from moso_kit.problem import latent_key
+from moso_kit.embedding import build_plan, pairwise_distances
+from moso_kit.problem import DesignVariable, EvaluationDatabase, latent_key
 from moso_kit.surrogate import (
     IMPROVE_TRIES,
     NUGGET_SCALE,
-    KeptDistances,
     RbfSurrogate,
     SurrogateError,
     TrustRegion,
-    pairwise_distances,
     trust_region,
 )
 
@@ -158,6 +157,7 @@ def eager_model(pts, vals):
     return RbfSurrogate(pts, coef, eps, nugget, cho, vals.std(axis=0), vals)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("n, dim", [(1, 3), (2, 1), (40, 4), (400, 10)])
 def test_kernel_system_built_in_place_matches_the_plain_expression(n, dim):
     # The build squares, scales, exponentiates and adds the nugget inside
@@ -181,6 +181,7 @@ def test_kernel_system_built_in_place_matches_the_plain_expression(n, dim):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 20])
 def test_pairwise_distances_are_cdist_bit_for_bit(dim):
     rng = np.random.default_rng(dim)
@@ -196,32 +197,55 @@ def test_pairwise_distances_are_cdist_bit_for_bit(dim):
     assert pairwise_distances(np.empty((3, 0)), np.empty((2, 0))).tolist() == [[0.0] * 2] * 3
 
 
+def point_database(dim):
+    """An empty database whose records' latent points are their designs.
+
+    Each variable is continuous on [0, 1], so it embeds as itself.
+    """
+    return EvaluationDatabase(build_plan(
+        [DesignVariable(f"x{i}", "continuous", 0.0, 1.0) for i in range(dim)]))
+
+
+def add_points(database, pts):
+    for p in pts:
+        database.add({f"x{i}": v for i, v in enumerate(p.tolist())}, [], [0.0], [], 0)
+    return database
+
+
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("dim", [1, 4, 13])
 def test_kept_distances_are_cdist_across_growth_and_as_submatrices(dim):
+    # The database keeps its latent distances and computes the rows of
+    # the records added since the last call.
     rng = np.random.default_rng(40 + dim)
     pts = rng.random((300, dim))
-    kept, views = KeptDistances(), []
+    database, views, added = point_database(dim), [], 0
     # Past the doubling boundaries at 64, 128 and 256.
     for n in (10, 10, 64, 65, 72, 128, 200, 257, 300):
-        view = kept.update(pts[:n])
+        add_points(database, pts[added:n])
+        added = n
+        view = database.latent_distances()
+        np.testing.assert_array_equal(database.latent_matrix(), pts[:n])
         want = cdist(pts[:n], pts[:n])
         np.testing.assert_array_equal(view, want)
         assert not view.flags.writeable
+        # The matrix has the capacity of the database's fields.
+        assert view.base.shape == (len(database.latent_matrix().base),) * 2
         views.append((view, want))
         nearby = rng.random(n) < 0.4
         np.testing.assert_array_equal(view[np.ix_(nearby, nearby)],
                                       cdist(pts[:n][nearby], pts[:n][nearby]))
-    for view, want in views:  # later updates leave earlier views as they were
+    for view, want in views:  # later calls leave earlier views as they were
         np.testing.assert_array_equal(view, want)
-    with pytest.raises(ValueError, match="fewer than"):
-        kept.update(pts[:299])
+    assert point_database(dim).latent_distances().shape == (0, 0)
 
 
+@pytest.mark.blas_threads
 def test_models_on_kept_distances_match_models_that_compute_their_own():
     rng = np.random.default_rng(23)
     pts = rng.random((90, 3))
     vals = np.column_stack([np.sin(4.0 * pts).sum(axis=1), (pts ** 2).sum(axis=1)])
-    kept = RbfSurrogate.fit(pts, vals, KeptDistances().update(pts))
+    kept = RbfSurrogate.fit(pts, vals, add_points(point_database(3), pts).latent_distances())
     own = RbfSurrogate.fit(pts, vals)
     region = trust_region(pts[5], pts, n_design=3)
     local_kept, local_own = kept.set_center(region), own.set_center(region)
@@ -241,6 +265,7 @@ def test_models_on_kept_distances_match_models_that_compute_their_own():
         assert a.eps == b.eps and a.nugget == b.nugget
 
 
+@pytest.mark.blas_threads
 def test_direct_lapack_calls_match_scipy_linalg():
     rng = np.random.default_rng(24)
     for n, m in [(1, 1), (7, 3), (150, 198)]:
@@ -261,6 +286,7 @@ def test_direct_lapack_calls_match_scipy_linalg():
         _blas.cho_factor(np.asfortranarray(np.diag([1.0, -1.0])))
 
 
+@pytest.mark.blas_threads
 def test_without_the_lapack_entry_points_models_use_scipy_linalg_to_the_same_bits(monkeypatch):
     if _blas._potrf is None:
         pytest.skip("scipy's bundled OpenBLAS is not found: scipy.linalg is the only path")
@@ -303,6 +329,7 @@ def predictions(rows):
     }
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("first", list(predictions(None)))
 def test_a_fitted_model_predicts_bitwise_as_one_built_at_once(first):
     rng = np.random.default_rng(21)
@@ -318,6 +345,7 @@ def test_a_fitted_model_predicts_bitwise_as_one_built_at_once(first):
     assert model.eps == eager.eps and model.nugget == eager.nugget
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("m", [1, 3, 198])
 @pytest.mark.parametrize("built", ["fit", "constructor"])
 def test_vjp_rows_is_the_weighted_jacobian(m, built):
