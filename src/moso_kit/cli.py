@@ -554,13 +554,14 @@ def bench_scaling(workers_list, sim_delay, budget) -> None:
         sys.exit(2)
 
     try:
-        click.echo("workers,walltime_s,evaluations")
-        for w in counts:
+        for i, w in enumerate(counts):
             defn = testbed.dtlz2_moop(q0=16, batch=8, delay=(t_min, t_max))
             solver = MoopSolver(defn, workers=w)
             started = time.perf_counter()
             result = solver.solve(budget)
             elapsed = time.perf_counter() - started
+            if i == 0:  # after the first solve, so that a config error prints no header
+                click.echo("workers,walltime_s,evaluations")
             click.echo(f"{w},{elapsed:.3f},{result.evaluations}")
     except ValidationError as err:  # a budget below the initial design
         click.echo(f"config error: {err}", err=True)

@@ -345,8 +345,9 @@ class EvaluationDatabase:
     the first record fixes the widths.  Record fields and ``*_matrix``
     results are read-only views of those rows, so each value is stored
     once.  Every stored value is finite.  The latent points' pairwise
-    distances are kept too (``latent_distances``).  Mutations must
-    happen on the control thread; reads are safe anywhere.
+    distances are kept too (``latent_distances``).  Mutations, and
+    ``latent_distances``, which extends the kept matrix, must happen on
+    the control thread; other reads are safe anywhere.
     """
 
     def __init__(self, plan: embedding.EmbeddingPlan):
@@ -427,6 +428,7 @@ class EvaluationDatabase:
         A read-only view that later calls leave as it is.  A call computes
         only the rows of the records added since the last one; the matrix
         is built at the first call and grows to the capacity of the fields.
+        It writes the kept matrix, so like ``add`` it runs on the control thread.
         """
         old, n = self._distance_rows, len(self.records)
         if n > len(self._distances):

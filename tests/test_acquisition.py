@@ -290,8 +290,9 @@ def test_select_start_empty_database_raises():
 
 @pytest.mark.blas_threads
 def test_select_start_matches_brute_force():
-    # The one pass over every state and record picks, for each state, the
-    # record that scoring it alone with ``scalarize`` picks.
+    # The one pass over every state and record gives, bit for bit, the
+    # scores of ``scalarize`` on each state and record alone, and picks for
+    # each state the record that scoring it alone picks.
     rng = np.random.default_rng(7)
     all_infeasible = tied = 0
     for trial in range(100):
@@ -320,9 +321,12 @@ def test_select_start_matches_brute_force():
         db = make_database(objs, violations=viol)
         lam = float(rng.uniform(0.1, 100.0))
 
+        stacked = scalarize_stack(stack_states(states, o), np.arange(len(states)).repeat(n),
+                                  np.tile(db.objective_matrix(), (len(states), 1)))
         expect = []
-        for state in states:
+        for state, row in zip(states, stacked.reshape(len(states), n)):
             scores = np.array([scalarize(state, fv) for fv in objs])
+            assert np.array_equal(row, scores)
             if infeasible.all():
                 scores = scores + lam * viol
             else:

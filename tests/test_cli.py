@@ -427,6 +427,7 @@ def test_a_budget_below_the_initial_design_is_a_config_error(tmp_path):
     result = run_cli(["bench-scaling", "--workers-list", "1", "--budget", "5"])
     assert result.exit_code == 2, result.output
     assert "config error: budget 5 cannot cover the initial design of 16 points" in result.output
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("section", ["variables", "acquisitions"])
