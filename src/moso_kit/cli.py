@@ -158,6 +158,10 @@ def _build_simulations(entries, variables, seed):
                 raise ConfigError(f"simulation {name!r}: dtlz2 reads every variable as a number, "
                                   f"but {categorical[0]!r} is categorical")
             o = options.get("n_objectives", 3)
+            # dtlz2 sweeps its front with the first o - 1 variables.
+            if not (_is_int(o) and 1 <= o <= len(var_names) + 1):
+                raise ConfigError(f"simulation {name!r}: n_objectives must be an integer in "
+                                  f"[1, {len(var_names) + 1}], got {o!r}")
             evaluator = testbed.dtlz2_evaluator(var_names, o)
             output_dim = o
         else:
@@ -490,6 +494,8 @@ def metrics(db_path, ref_text, mode, hv_max) -> None:
             ref = feas.max(axis=0)
         if mode == "relative_to_gap" and hv_max is None:
             raise ConfigError("relative_to_gap needs --hv-max")
+        if hv_max is not None and not math.isfinite(hv_max):
+            raise ConfigError("--hv-max must be a finite number")
     except Exception as err:  # noqa: BLE001 - every failure here is a config error
         click.echo(f"config error: {err}", err=True)
         sys.exit(2)
@@ -503,12 +509,17 @@ def metrics(db_path, ref_text, mode, hv_max) -> None:
             header.append("pct_improvement")
         writer.writerow(header)
         hv0 = traj[0][2] if traj else 0.0
+        if mode == "relative_to_gap" and hv_max <= hv0:
+            raise ConfigError(f"--hv-max {hv_max} must exceed the initial hypervolume {hv0}")
         for k, evals, hv in traj:
             row = [k, evals, hv]
             if mode != "raw":
                 row.append(float(pct_hv_improvement(hv, hv0, mode=mode, hv_max=hv_max)))
             writer.writerow(row)
         click.echo(out.getvalue(), nl=False)
+    except ConfigError as err:
+        click.echo(f"config error: {err}", err=True)
+        sys.exit(2)
     except Exception as err:  # noqa: BLE001
         click.echo(f"runtime error: {err}", err=True)
         sys.exit(3)

@@ -19,7 +19,8 @@ steps each buy less than a thousandth of what it has already gained.
 
 ``solve_batch`` solves every slot of an iteration at once, with array
 state: the slots' points, values, gradients, inverse Hessians and boxes
-sit in stacked arrays, and a slot that finishes leaves them.  A line
+sit in arrays of one row per slot, updated in place, and an index of the
+slots still iterating picks the rows that each iteration gathers.  A line
 search computes all ``MAX_TRIALS`` backtracking trials
 ``alpha = 2**-j`` of every slot, their steps and their Armijo bounds
 once, then evaluates them in blocks, as sub-rounds over the slots still
@@ -340,64 +341,53 @@ def solve_batch(moop: Moop, states, surrogates, starts, regions, lam: float) -> 
     lo, hi = (np.array(b) for b in zip(*(region.bounds() for region in regions)))
     z = np.clip(np.asarray(starts, dtype=float), lo, hi)
     n_slots, dim = z.shape
-    # The working arrays hold the unfinished slots, ``slots`` naming each row's.
-    slots = np.arange(n_slots)
-    f, g = stack.values_and_grads(slots, z)
+    # The slots still iterating, in slot order; the arrays keep every slot.
+    live = np.arange(n_slots)
+    f, g = stack.values_and_grads(live, z)
     f_start = f.copy()
     h_inv = np.tile(np.eye(dim), (n_slots, 1, 1))
     first_block = np.full(n_slots, TRIAL_BLOCK)
     iterations = np.zeros(n_slots, dtype=int)
-    final_z, final_f = np.empty_like(z), np.empty_like(f)
-
-    def retire(live, done):
-        """Record the rows ``done`` of the working arrays as final; the rest, compacted."""
-        if not done.any():
-            return live
-        final_z[live[0][done]], final_f[live[0][done]] = live[1][done], live[2][done]
-        return tuple(a[~done] for a in live)
-
-    live = slots, z, f, g, h_inv, lo, hi, first_block
     for _ in range(MAX_ITERATIONS):
-        slots, z, f, g, h_inv, lo, hi, first_block = live
-        pg = z - np.clip(z - g, lo, hi)
-        live = retire(live, np.sqrt(np.vecdot(pg, pg)) <= GRAD_TOL)
-        slots, z, f, g, h_inv, lo, hi, first_block = live
-        if not slots.size:
+        pg = z[live] - np.clip(z[live] - g[live], lo[live], hi[live])
+        # Not "> GRAD_TOL": a slot whose gradient is NaN goes on.
+        live = live[~(np.sqrt(np.vecdot(pg, pg)) <= GRAD_TOL)]
+        if not live.size:
             break
-        iterations[slots] += 1
-        d = -np.matmul(h_inv, g[:, :, None])[:, :, 0]
-        uphill = np.vecdot(d, g) >= 0.0
+        iterations[live] += 1
+        z_old, f_old, g_old = z[live], f[live], g[live]
+        d = -np.matmul(h_inv[live], g_old[:, :, None])[:, :, 0]
+        uphill = np.vecdot(d, g_old) >= 0.0
         if uphill.any():
-            h_inv[uphill] = np.eye(dim)
-            d[uphill] = -g[uphill]
+            h_inv[live[uphill]] = np.eye(dim)
+            d[uphill] = -g_old[uphill]
 
-        accepted, z_new, f_new, count = _line_search(stack, slots, z, f, g, d, lo, hi,
-                                                     first_block)
-        first_block[accepted] = count[accepted] + 1
-        gain = f - f_new
-        small = accepted & ((gain <= DECREASE_FACTOR * np.maximum(1.0, np.abs(f_new)))
-                            | (gain <= MIN_PROGRESS * (f_start[slots] - f_new)))
-        z[small], f[small] = z_new[small], f_new[small]
+        accepted, z_new, f_new, count = _line_search(stack, live, z_old, f_old, g_old, d,
+                                                     lo[live], hi[live], first_block[live])
+        # A slot whose line search failed keeps its point: z_new holds it.
+        z[live], f[live] = z_new, f_new
+        first_block[live[accepted]] = count[accepted] + 1
+        gain = f_old - f_new
+        small = ((gain <= DECREASE_FACTOR * np.maximum(1.0, np.abs(f_new)))
+                 | (gain <= MIN_PROGRESS * (f_start[live] - f_new)))
         moving = accepted & ~small
-        go = np.flatnonzero(moving)
-        if go.size:
-            g_new = stack.values_and_grads(slots[go], z_new[go])[1]
-            step, y = z_new[go] - z[go], g_new - g[go]
+        live = live[moving]
+        if live.size:
+            g_new = stack.values_and_grads(live, z_new[moving])[1]
+            step, y = z_new[moving] - z_old[moving], g_new - g_old[moving]
             sy = np.vecdot(step, y)
             curved = sy > 1e-12
             if curved.any():
                 rho = (1.0 / sy[curved])[:, None, None]
                 s, y = step[curved], y[curved]
                 a = np.eye(dim) - rho * (s[:, :, None] * y[:, None, :])
-                h_inv[go[curved]] = (a @ h_inv[go[curved]] @ a.transpose(0, 2, 1)
-                                     + rho * (s[:, :, None] * s[:, None, :]))
-            z[go], f[go], g[go] = z_new[go], f_new[go], g_new
-        live = retire(live, ~moving)
-    retire(live, np.ones(len(live[0]), dtype=bool))
+                h_inv[live[curved]] = (a @ h_inv[live[curved]] @ a.transpose(0, 2, 1)
+                                       + rho * (s[:, :, None] * s[:, None, :]))
+            g[live] = g_new
 
-    improved = final_f <= f_start - DECREASE_FACTOR * np.maximum(1.0, np.abs(f_start))
-    return [SolveOutcome(candidate=final_z[i].copy() if improved[i] else None,
-                         value=float(final_f[i]), start_value=float(f_start[i]),
+    improved = f <= f_start - DECREASE_FACTOR * np.maximum(1.0, np.abs(f_start))
+    return [SolveOutcome(candidate=z[i].copy() if improved[i] else None,
+                         value=float(f[i]), start_value=float(f_start[i]),
                          iterations=int(iterations[i]))
             for i in range(n_slots)]
 

@@ -220,6 +220,11 @@ def _check_variable(v: DesignVariable) -> None:
             raise ValidationError(f"variable {v.name!r}: custom kind needs an embedder")
 
 
+def _positive_int(value) -> bool:
+    """Whether ``value`` is an integer >= 1, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 def validate(defn) -> Moop:
     """Check a definition and return an immutable problem with cached dims.
 
@@ -235,7 +240,7 @@ def validate(defn) -> Moop:
     if not defn.acquisitions:
         raise ValidationError("at least one acquisition is required")
     q0 = defn.q0
-    if not (isinstance(q0, numbers.Integral) and not isinstance(q0, bool) and q0 >= 1):
+    if not _positive_int(q0):
         raise ValidationError(f"q0 must be a positive integer, got {q0!r}")
 
     _check_unique([v.name for v in defn.variables], "variable")
@@ -249,8 +254,9 @@ def validate(defn) -> Moop:
     for s in defn.simulations:
         if not callable(s.evaluator):
             raise ValidationError(f"simulation {s.name!r}: evaluator is not callable")
-        if s.output_dim < 1:
-            raise ValidationError(f"simulation {s.name!r}: output_dim must be >= 1")
+        if not _positive_int(s.output_dim):
+            raise ValidationError(f"simulation {s.name!r}: output_dim must be a positive "
+                                  f"integer, got {s.output_dim!r}")
     if not defn.simulations:
         warnings.warn("no simulations declared; objectives are treated as purely algebraic")
 
@@ -259,6 +265,8 @@ def validate(defn) -> Moop:
             raise ValidationError(f"{f.name!r}: func is not callable")
         if f.grad is not None and not callable(f.grad):
             raise ValidationError(f"{f.name!r}: grad is not callable")
+        if f.rows is not None and not callable(f.rows):
+            raise ValidationError(f"{f.name!r}: rows is not callable")
 
     o = len(defn.objectives)
     for i, a in enumerate(defn.acquisitions):
@@ -275,7 +283,7 @@ def validate(defn) -> Moop:
     plan = embedding.build_plan(tuple(defn.variables))
     return Moop(
         variables=tuple(defn.variables),
-        simulations=tuple(defn.simulations),
+        simulations=tuple(replace(s, output_dim=int(s.output_dim)) for s in defn.simulations),
         objectives=tuple(defn.objectives),
         constraints=tuple(defn.constraints),
         acquisitions=tuple(defn.acquisitions),

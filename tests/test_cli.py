@@ -401,6 +401,30 @@ def test_categorical_variable_under_dtlz2_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_objectives", [2.5, True, 0, -1, "2", None, 6])
+def test_bad_dtlz2_objective_count_is_a_config_error(tmp_path, n_objectives):
+    # 2.5 used to run the whole initial design, fail every simulation
+    # with "slice indices must be integers" and exit 3; 6 objectives
+    # need at least 5 variables, and the config has 4.
+    cfg = small_config()
+    cfg["simulations"][0]["options"]["n_objectives"] = n_objectives
+    out = tmp_path / "out"
+    result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "n_objectives must be an integer in [1, 5]" in result.output
+    assert not out.exists()
+
+
+def test_dtlz2_takes_one_objective_more_than_its_variables(tmp_path):
+    # With o = n + 1 the front uses every variable and none is a distance.
+    cfg = small_config()
+    cfg["simulations"][0]["options"]["n_objectives"] = 5
+    moop, _ = load_config(write_config(tmp_path, cfg))
+    assert moop.m == 5
+    np.testing.assert_allclose(moop.simulations[0].evaluator({f"x{i}": 0.0 for i in range(1, 5)}),
+                               [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+
+
 @pytest.mark.parametrize("key, value", [
     ("budget", "24"), ("budget", 24.5), ("budget", True),
     ("seed", "abc"), ("seed", 1.5), ("seed", -3), ("seed", None),
@@ -628,6 +652,24 @@ def test_metrics_relative_mode(tmp_path):
 
     assert run_cli(["metrics", "--db", str(db), "--ref", "1,1,1",
                     "--mode", "relative_to_gap"]).exit_code == 2
+
+
+@pytest.mark.parametrize("hv_max, message", [
+    ("nan", "--hv-max must be a finite number"),
+    ("inf", "--hv-max must be a finite number"),
+    ("-inf", "--hv-max must be a finite number"),
+    ("0.125", "--hv-max 0.125 must exceed the initial hypervolume 0.125"),
+    ("0.1", "--hv-max 0.1 must exceed the initial hypervolume 0.125"),
+])
+def test_bad_hv_max_is_a_config_error(tmp_path, hv_max, message):
+    # nan printed a nan column and inf a column of zeros, both exiting 0;
+    # a ceiling at or below the initial hypervolume exited 3.
+    db = write_database(tmp_path, [[0, 0.5, 0.5, 0.5, 1],
+                                   [1, 0.25, 0.25, 0.25, 1]])
+    result = run_cli(["metrics", "--db", str(db), "--ref", "1,1,1",
+                      "--mode", "relative_to_gap", "--hv-max", hv_max])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"config error: {message}\n"
 
 
 def test_bench_scaling_validates_arguments():

@@ -668,8 +668,8 @@ def test_solve_batch_matches_a_solve_per_slot(seed):
             # BFGS iterations, can move a small coordinate along a flat
             # direction by more than 1e-9 of itself.
             np.testing.assert_allclose(got.candidate, want.candidate, rtol=0.0, atol=1e-9)
-    # Slots finished at different iterations, so finished slots left the
-    # working arrays while others went on.
+    # Slots finished at different iterations, so finished slots dropped
+    # out of the live index while others went on.
     assert len({got.iterations for got in together}) > 1
 
     # Each candidate is a fresh array: writing to one changes nothing else.
@@ -683,6 +683,69 @@ def test_solve_batch_matches_a_solve_per_slot(seed):
     candidates[0][:] = np.nan
     for c, k in zip(candidates[1:], kept[1:]):
         np.testing.assert_array_equal(c, k)
+
+
+@pytest.mark.blas_threads
+def test_one_batch_mixes_every_way_a_slot_stops(monkeypatch):
+    # One solve_batch call in which slots stop for different reasons:
+    # a zero gradient at the start, a failed line search, a step that
+    # gains too little, and the iteration cap.
+    valley = ObjectiveSpec(
+        "valley", lambda x, s: (x["x1"] - 0.3) ** 2 + 50.0 * (x["x2"] - 0.6) ** 2,
+        lambda x, s: ({"x1": 2.0 * (x["x1"] - 0.3), "x2": 100.0 * (x["x2"] - 0.6)}, np.empty(0)))
+    # A gradient of the wrong sign: no trial along it passes Armijo.
+    wrong = ObjectiveSpec("wrong", lambda x, s: x["x1"], lambda x, s: ({"x1": -1.0}, np.empty(0)))
+    moop = make_moop(n_vars=2, objectives=[valley, wrong])
+    cube = TrustRegion(center=np.array([0.5, 0.5]), radius=0.5)
+    # Two slots start outside their region [0.3, 0.7]**2, at zero gradient:
+    # all-zero weights, and a gradient that points out of the clipped start.
+    small_box, outside = TrustRegion(center=np.array([0.5, 0.5]), radius=0.2), np.array([0.9, 0.1])
+    slots = [
+        (weighted(1.0, 0.0), np.array([0.95, 0.05]), cube),  # cut
+        (weighted(0.0, 0.0), outside, small_box),
+        (weighted(0.0, 1.0), np.array([0.4, 0.4]), cube),  # line search fails
+        (weighted(1.0, 0.0), np.array([0.3 + 1e-6, 0.6]), cube),  # gains too little
+        (weighted(0.5, 0.0), np.array([0.1, 0.9]), cube),  # cut
+        (weighted(0.0, 1.0), outside, small_box),
+    ]
+    states, starts, regions = zip(*slots)
+    uncapped = solve_batch(moop, states, [[]] * len(slots), starts, regions, lam=1.0)
+
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 2)
+    line_search, last_accepted = optimizer._line_search, {}
+
+    def recorded(stack, live, *args):
+        outcome = line_search(stack, live, *args)
+        last_accepted.update(zip(live.tolist(), outcome[0].tolist()))
+        return outcome
+
+    monkeypatch.setattr(optimizer, "_line_search", recorded)
+    together = solve_batch(moop, states, [[]] * len(slots), starts, regions, lam=1.0)
+    monkeypatch.setattr(optimizer, "_line_search", line_search)
+    for (state, start, region), got in zip(slots, together):
+        want = solve(moop, state, [], start, region, lam=1.0)
+        assert got.iterations == want.iterations
+        assert (got.candidate is None) == (want.candidate is None)
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
+        assert got.start_value == pytest.approx(want.start_value, rel=1e-9, abs=1e-12)
+        if want.candidate is not None:
+            np.testing.assert_allclose(got.candidate, want.candidate, rtol=0.0, atol=1e-9)
+
+    _, zero, failed, small, _, corner = together
+    for i in (0, 4):
+        assert together[i].iterations == 2 and last_accepted[i] and uncapped[i].iterations > 2
+        assert together[i].candidate is not None
+    # The zero-gradient slots never search and keep their clipped start
+    # (0.7, 0.3), where "wrong" reads x1 = 0.7.
+    assert 1 not in last_accepted and 5 not in last_accepted
+    assert zero.iterations == corner.iterations == 0
+    assert zero.candidate is None and corner.candidate is None
+    assert zero.value == zero.start_value == 0.0
+    assert corner.value == corner.start_value == 0.7
+    assert failed.iterations == 1 and not last_accepted[2] and failed.candidate is None
+    assert failed.value == failed.start_value
+    assert small.iterations == 1 and last_accepted[3] and small.candidate is None
+    assert small.value < small.start_value
 
 
 def two_simulation_moop(seed=0):

@@ -120,6 +120,38 @@ def test_validate_stores_a_numpy_integer_q0_as_int():
     assert problem_fingerprint(moop) == problem_fingerprint(validate(plain))
 
 
+@pytest.mark.parametrize("output_dim", [True, 1.5, 0, -3, "198", None])
+def test_validate_requires_a_positive_integer_output_dim(output_dim):
+    # A fractional output_dim used to validate and then skip every point
+    # of the initial design with "returned shape (1,), expected (1,)".
+    defn = calibration_definition()
+    defn.simulations = [SimulationSpec("residuals", output_dim, lambda d: np.zeros(198))]
+    with pytest.raises(ValidationError, match="output_dim must be a positive integer"):
+        validate(defn)
+
+
+def test_validate_stores_a_numpy_integer_output_dim_as_int():
+    defn, plain = calibration_definition(), calibration_definition()
+    defn.simulations = [SimulationSpec("residuals", np.int64(198), lambda d: np.zeros(198))]
+    moop = validate(defn)
+    assert type(moop.simulations[0].output_dim) is int
+    assert problem_fingerprint(moop) == problem_fingerprint(validate(plain))
+
+
+@pytest.mark.parametrize("constraint", [False, True])
+def test_validate_requires_a_callable_rows(constraint):
+    # A term whose rows is not callable used to validate and then fail
+    # the first inner solve with "'str' object is not callable".
+    defn = calibration_definition()
+    term = ObjectiveSpec("bad", lambda x, s: 0.0, rows="sum")
+    if constraint:
+        defn.constraints.append(term)
+    else:
+        defn.objectives.append(term)
+    with pytest.raises(ValidationError, match="'bad': rows is not callable"):
+        validate(defn)
+
+
 @pytest.mark.parametrize("weights", [(NAN, 1.0), (INF, 1.0), (1.0, INF)])
 def test_validate_rejects_non_finite_fixed_weights(weights):
     defn = calibration_definition()
