@@ -157,13 +157,11 @@ def _build_simulations(entries, variables, seed):
             if categorical:
                 raise ConfigError(f"simulation {name!r}: dtlz2 reads every variable as a number, "
                                   f"but {categorical[0]!r} is categorical")
-            o = options.get("n_objectives", 3)
-            # dtlz2 sweeps its front with the first o - 1 variables.
-            if not (_is_int(o) and 1 <= o <= len(var_names) + 1):
-                raise ConfigError(f"simulation {name!r}: n_objectives must be an integer in "
-                                  f"[1, {len(var_names) + 1}], got {o!r}")
-            evaluator = testbed.dtlz2_evaluator(var_names, o)
-            output_dim = o
+            output_dim = options.get("n_objectives", 3)
+            try:
+                evaluator = testbed.dtlz2_evaluator(var_names, output_dim)
+            except ValueError as err:
+                raise ConfigError(f"simulation {name!r}: {err}") from err
         else:
             evaluator = TESTBED_REGISTRY[key]
             output_dim = TESTBED_OUTPUT_DIMS[key]
@@ -539,11 +537,18 @@ def _read_database(path):
         feas_col = header.index("feasible")
         if not obj_cols:
             raise ConfigError("no obj_* columns in database")
+        if not rows:
+            raise ConfigError("database has no records")
         objectives = np.array([[float(r[i]) for i in obj_cols] for r in rows])
         feasible = [r[feas_col] in ("1", "true", "True") for r in rows]
         iterations = [int(r[it_col]) for r in rows]
     except (ValueError, IndexError) as err:
         raise ConfigError(f"malformed database: {err}") from err
+    bad = np.argwhere(~np.isfinite(objectives))
+    if len(bad):
+        row, col = bad[0]
+        raise ConfigError(f"database row {row + 1}, column {header[obj_cols[col]]}: "
+                          f"objective value {rows[row][obj_cols[col]]!r} is not finite")
     return objectives, feasible, iterations
 
 

@@ -31,8 +31,9 @@ blocks change which points are evaluated, not which one is taken.
 
 One ``_Stack`` holds every slot of the batch.  Each slot has its own
 scalarization and its own models: a local refit, or the global ones.
-A sub-round predicts its rows with one ``evaluate_rows`` per model,
-calls each term's row form (or its ``func`` per row) once, adds the
+A sub-round predicts its rows with one ``evaluate_rows`` per model
+that some row uses (a batch that uses one model is one group of every
+row), calls each term's row form (or its ``func`` per row) once, adds the
 penalty, and scalarizes every row in one array pass over the stacked
 states (``acquisition.scalarize_stack``).  Gradients are vector-Jacobian
 products: the scalarization's weight on each term times the term's
@@ -132,21 +133,21 @@ class _Stack:
             self._models.append((slice(at, at + first.output_dim), models, label))
             at += first.output_dim
         self._outputs = at
-        # The one model every row is predicted with, if there is one.
-        self._single = (self._models[0][1][0]
-                        if len(self._models) == 1 and len(self._models[0][1]) == 1 else None)
 
     def _groups(self, slots):
-        """``(columns, model, rows)`` for each model that some row of ``slots`` uses."""
+        """``(columns, model, rows)`` for each model that some row of ``slots`` uses.
+
+        ``rows`` is a mask, or ``slice(None)`` when one model has every
+        row: a view, where a mask would copy the block and scatter it back.
+        """
         for cols, models, label in self._models:
             at = label[slots]
-            for g in np.flatnonzero(np.bincount(at, minlength=len(models))):
-                yield cols, models[g], at == g
+            used = np.flatnonzero(np.bincount(at, minlength=len(models)))
+            for g in used:
+                yield cols, models[g], slice(None) if len(used) == 1 else at == g
 
     def _predict(self, slots, points):
         """Each row's prediction (B, m) by its slot's models, one block per model."""
-        if self._single is not None:
-            return self._single.evaluate_rows(points)
         preds = np.empty((len(points), self._outputs))
         for cols, model, rows in self._groups(slots):
             preds[rows, cols] = model.evaluate_rows(points[rows])
@@ -154,8 +155,6 @@ class _Stack:
 
     def _vjp(self, slots, points, weights):
         """Sum over the models of each row's ``weights @ Jacobian`` (B, l)."""
-        if self._single is not None:
-            return self._single.vjp_rows(points, weights)
         grad = np.zeros(points.shape)
         for cols, model, rows in self._groups(slots):
             grad[rows] += model.vjp_rows(points[rows], weights[rows, cols])

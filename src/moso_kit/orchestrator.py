@@ -6,7 +6,11 @@ surrogates, refreshes each acquisition, selects every slot's start
 record in one pass (``acquisition.select_start``), then solves each
 penalized subproblem inside a trust region around its start, swaps
 duplicates for model-improvement points, and sends the resulting batch
-to a worker pool.  Slots that share a start share one trust region and one
+to a worker pool.  Every point, whether from the initial design, a
+solve or an improvement draw, is proposed by one step
+(``MoopSolver._propose``): it is extracted, embedded and keyed once,
+and joins the batch unless the database or the batch holds its key.
+Slots that share a start share one trust region and one
 localization (``set_center``), so they get the same model objects: a
 local refit, or the global models.  All q slots of an iteration are
 solved by one ``optimizer.solve_batch``, which predicts the rows of
@@ -117,8 +121,16 @@ def problem_fingerprint(moop: Moop) -> str:
         "penalty": [PENALTY_INITIAL, PENALTY_GROWTH, PENALTY_CAP],
         "seed": moop.rng_seed,
     }
-    blob = json.dumps(desc, sort_keys=True).encode()
+    # A numpy scalar (a bound, a weight) is written as the Python number
+    # it holds, so it does not change the digest.
+    blob = json.dumps(desc, sort_keys=True, default=_python_number).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _python_number(value):
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class MoopSolver:
@@ -147,15 +159,12 @@ class MoopSolver:
 
     def iterate(self, k: int) -> CandidateBatch:
         """Propose the next batch of design points (does not evaluate)."""
+        batch, keys = CandidateBatch(iteration=k), set()
         if k == 0:
             # Samples that snap to one design (integer or categorical
             # variables) are proposed once.
-            batch, batch_keys = CandidateBatch(iteration=k), set()
             for z in lhs_search(self.moop.q0, self.moop.latent_dim, self._search_rng):
-                point = self._new_point(z, "search", batch_keys)
-                if point is not None:
-                    batch_keys.add(latent_key(point.latent))
-                    batch.points.append(point)
+                self._propose(batch, keys, z, "search")
             return batch
 
         if len(self.database) == 0:
@@ -166,9 +175,6 @@ class MoopSolver:
                                    self.database.latent_distances())
                   for i in range(len(self.moop.simulations))]
         archive = self.archive.update(self.database.records)
-
-        batch = CandidateBatch(iteration=k)
-        batch_keys: set[bytes] = set()
         cube = TrustRegion(center=np.full(self.moop.latent_dim, 0.5), radius=0.5)
 
         # Every slot refreshes, drawing from its own RNG stream, and then
@@ -176,54 +182,53 @@ class MoopSolver:
         states = [acq.refresh(spec, archive, self._acq_rngs[i], self.moop.o)
                   for i, spec in enumerate(self.moop.acquisitions)]
         starts = acq.select_start(states, self.database, self.penalty)
-        # One region and one localization per distinct start, shared by
-        # every slot with that start; all slots are solved in one batch.
-        localized, regions, slot_models = {}, [], []
-        for start in starts:
-            if start not in localized:
-                region = trust_region(self.database.records[start].latent, latents, self.moop.n)
-                localized[start] = region, [
-                    model.set_center(region, local=sim.local)
-                    for sim, model in zip(self.moop.simulations, models)]
-            regions.append(localized[start][0])
-            slot_models.append(localized[start][1])
+        # One region and one localization per distinct start, in order of
+        # first occurrence, shared by every slot with that start; all
+        # slots are solved in one batch.
+        localized = dict.fromkeys(starts)
+        for start in localized:
+            region = trust_region(self.database.records[start].latent, latents, self.moop.n)
+            localized[start] = region, [model.set_center(region, local=sim.local)
+                                        for sim, model in zip(self.moop.simulations, models)]
+        regions = [localized[start][0] for start in starts]
         outcomes = optimizer.solve_batch(
-            self.moop, states, slot_models, [region.center for region in regions], regions,
-            self.penalty)
+            self.moop, states, [localized[start][1] for start in starts],
+            [region.center for region in regions], regions, self.penalty)
 
         for i, (outcome, region) in enumerate(zip(outcomes, regions)):
-            point = None
-            if outcome.candidate is not None:
-                point = self._new_point(outcome.candidate, f"acquisition:{i}", batch_keys)
-            if point is None:
-                # A solve that converged onto an already-known point has
-                # exhausted its region; refine the model globally instead.
-                # A solve that could not make sufficient decrease still
-                # needs better local data, so it refines within its region.
-                # ``improve`` reads only the region and the data, so it
-                # needs no model, and a problem without simulations gets
-                # improvement points too.
-                existing = np.vstack([latents, *(np.round(p.latent, 12) for p in batch.points)])
-                point = RbfSurrogate.improve(
+            if (outcome.candidate is not None and self._propose(
+                    batch, keys, outcome.candidate, f"acquisition:{i}") is not None):
+                continue
+            # A solve that converged onto an already-known point has
+            # exhausted its region; refine the model globally instead.
+            # A solve that could not make sufficient decrease still needs
+            # better local data, so it refines within its region.
+            # ``improve`` reads only the region and the data, so it needs
+            # no model, and a problem without simulations gets
+            # improvement points too.
+            existing = np.vstack([latents, *(np.round(p.latent, 12) for p in batch.points)])
+            if RbfSurrogate.improve(
                     None, cube if outcome.candidate is not None else region, existing,
                     self._acq_rngs[i],
-                    lambda z: self._new_point(z, f"improve:{i}", batch_keys))
-                if point is None:
-                    logger.warning("acquisition %d: could not find an unevaluated point; "
-                                   "dropped", i)
-            if point is not None:
-                batch_keys.add(latent_key(point.latent))
-                batch.points.append(point)
+                    lambda z: self._propose(batch, keys, z, f"improve:{i}")) is None:
+                logger.warning("acquisition %d: could not find an unevaluated point; "
+                               "dropped", i)
         return batch
 
-    def _new_point(self, z, origin, batch_keys):
-        """The batch point ``z`` extracts to, or None if stored or in ``batch_keys``."""
+    def _propose(self, batch, keys, z, origin):
+        """Append the point ``z`` extracts to ``batch`` and return it, or None if known.
+
+        Known means its latent key is in the database or in ``keys``, those of ``batch``.
+        """
         design = embedding.extract(self.moop.plan, z)
         latent = embedding.embed(self.moop.plan, design)
         key = latent_key(latent)
-        if self.database.has_key(key) or key in batch_keys:
+        if self.database.has_key(key) or key in keys:
             return None
-        return BatchPoint(design, latent, origin)
+        keys.add(key)
+        point = BatchPoint(design, latent, origin)
+        batch.points.append(point)
+        return point
 
     # -- evaluation --------------------------------------------------------
 

@@ -220,9 +220,9 @@ def _check_variable(v: DesignVariable) -> None:
             raise ValidationError(f"variable {v.name!r}: custom kind needs an embedder")
 
 
-def _positive_int(value) -> bool:
-    """Whether ``value`` is an integer >= 1, a numpy one included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def _integer_at_least(value, least: int) -> bool:
+    """Whether ``value`` is an integer >= ``least``, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def validate(defn) -> Moop:
@@ -240,8 +240,11 @@ def validate(defn) -> Moop:
     if not defn.acquisitions:
         raise ValidationError("at least one acquisition is required")
     q0 = defn.q0
-    if not _positive_int(q0):
+    if not _integer_at_least(q0, 1):
         raise ValidationError(f"q0 must be a positive integer, got {q0!r}")
+    seed = defn.rng_seed
+    if not _integer_at_least(seed, 0):
+        raise ValidationError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
     _check_unique([v.name for v in defn.variables], "variable")
     _check_unique([s.name for s in defn.simulations], "simulation")
@@ -254,7 +257,7 @@ def validate(defn) -> Moop:
     for s in defn.simulations:
         if not callable(s.evaluator):
             raise ValidationError(f"simulation {s.name!r}: evaluator is not callable")
-        if not _positive_int(s.output_dim):
+        if not _integer_at_least(s.output_dim, 1):
             raise ValidationError(f"simulation {s.name!r}: output_dim must be a positive "
                                   f"integer, got {s.output_dim!r}")
     if not defn.simulations:
@@ -288,7 +291,7 @@ def validate(defn) -> Moop:
         constraints=tuple(defn.constraints),
         acquisitions=tuple(defn.acquisitions),
         q0=int(q0),
-        rng_seed=defn.rng_seed,
+        rng_seed=int(seed),
         plan=plan,
     )
 

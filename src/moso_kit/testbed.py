@@ -27,6 +27,7 @@ from .problem import (
     DesignVariable,
     MoopDefinition,
     SimulationSpec,
+    _integer_at_least,
     identity_constraint,
     identity_objective,
     sum_of_squares_constraint,
@@ -69,7 +70,14 @@ def delay_wrapper(fn, t_min: float, t_max: float, rng: np.random.Generator):
 
 
 def dtlz2_evaluator(names, o: int):
-    """Simulation evaluator: dtlz2 of the design values named by ``names``, in order."""
+    """Simulation evaluator: dtlz2 of the design values named by ``names``, in order.
+
+    dtlz2 sweeps its front with the first ``o - 1`` values, so ``o`` must
+    be an integer from 1 to ``len(names) + 1``; ValueError otherwise.
+    """
+    if not (_integer_at_least(o, 1) and o <= len(names) + 1):
+        raise ValueError(f"n_objectives must be an integer in [1, {len(names) + 1}], "
+                         f"got {o!r}")
     return lambda design: dtlz2(np.array([design[k] for k in names]), o)
 
 

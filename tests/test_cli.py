@@ -611,6 +611,27 @@ def test_metrics_ref_arity_checked(tmp_path, ref):
     assert "--ref" in result.output
 
 
+@pytest.mark.parametrize("ref", [None, "1,1,1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_metrics_rejects_an_objective_value_that_is_not_finite(tmp_path, value, ref):
+    # A nan used to become the reference point and print hypervolume 0.0;
+    # an inf printed nan with a RuntimeWarning; both exited 0.
+    db = write_database(tmp_path, [[0, 0.5, 0.5, 0.5, 1], [1, 0.2, value, 0.4, 1]])
+    result = run_cli(["metrics", "--db", str(db)] + (["--ref", ref] if ref else []))
+    assert result.exit_code == 2, result.output
+    assert (f"config error: database row 2, column obj_f1: objective value {value!r} "
+            "is not finite") in result.output
+
+
+def test_metrics_reports_an_empty_database(tmp_path):
+    # A header-only database used to exit 2 with "tuple index out of range".
+    db = write_database(tmp_path, [])
+    for args in (["--ref", "1,1,1"], []):
+        result = run_cli(["metrics", "--db", str(db)] + args)
+        assert result.exit_code == 2, result.output
+        assert "config error: database has no records" in result.output
+
+
 def test_metrics_missing_database_exits_2(tmp_path):
     assert run_cli(["metrics", "--db", str(tmp_path / "nope.csv")]).exit_code == 2
 

@@ -20,6 +20,7 @@ from moso_kit.orchestrator import (
     CheckpointError,
     MoopSolver,
     journal_path,
+    problem_fingerprint,
 )
 from moso_kit.surrogate import RbfSurrogate
 from moso_kit.problem import (
@@ -237,14 +238,15 @@ def test_solve_stops_when_an_iteration_proposes_nothing(caplog):
         q0=4,
     )
     solver = MoopSolver(moop)
-    proposals = []
+    proposals, batches = [], []
     iterate = solver.iterate
 
     def guarded(k):
         proposals.append(k)
         if len(proposals) > 20:
             raise RuntimeError("solve kept iterating without spending budget")
-        return iterate(k)
+        batches.append(iterate(k))
+        return batches[-1]
 
     solver.iterate = guarded
     with caplog.at_level("WARNING"):
@@ -253,6 +255,11 @@ def test_solve_stops_when_an_iteration_proposes_nothing(caplog):
     assert result.evaluations == len(result.database) == 4
     assert result.iterations == 1
     assert any("proposed no unevaluated point" in r.message for r in caplog.records)
+    # Each slot found no unevaluated point, said so once, and added none.
+    dropped = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+    assert dropped == [f"acquisition {i}: could not find an unevaluated point; dropped"
+                       for i in range(2)]
+    assert batches[1].points == []
 
 
 @pytest.mark.blas_threads
@@ -592,6 +599,48 @@ def test_checkpoint_resume_with_numpy_valued_custom_variable(tmp_path):
     assert all(type(r.design["level"]) is int for r in result.database.records)
     assert np.array_equal(result.database.objective_matrix(),
                           straight.database.objective_matrix())
+
+
+def integer_level_moop(num):
+    """A continuous variable and an integer one whose bounds are ``num`` values."""
+    return MoopDefinition(
+        variables=[DesignVariable("x", "continuous", 0.0, 1.0),
+                   DesignVariable("k", "integer", num(0), num(6))],
+        simulations=[SimulationSpec("shift", 2,
+                                    lambda d: np.array([d["x"] - 0.3, d["k"] / 6.0 - 0.8]),
+                                    local=True)],
+        objectives=[sum_of_squares_objective("near_low", [0]),
+                    sum_of_squares_objective("near_high", [1])],
+        acquisitions=[AcquisitionSpec("random_weight"), AcquisitionSpec("random_weight")],
+        q0=6,
+        rng_seed=3,
+    )
+
+
+#: (problem with its integers made by ``num``, pause, budget): the seed,
+#: the bounds of an integer variable, the weights of a fixed weighting.
+NUMPY_VALUED_PROBLEMS = {
+    "seed": (lambda num: testbed.dtlz2_moop(seed=num(3), q0=16, batch=4), 20, 24),
+    "integer-bounds": (integer_level_moop, 10, 14),
+    "fixed-weights": (lambda num: bowl_moop(q0=6, acquisitions=[
+        AcquisitionSpec("fixed_weight", weights=(num(1), num(3))),
+        AcquisitionSpec("random_weight")]), 10, 14),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_VALUED_PROBLEMS)
+def test_checkpoint_resume_with_numpy_integers_in_the_problem(tmp_path, name):
+    # Each used to run its initial design and then fail the first save
+    # with "Object of type int64 is not JSON serializable".
+    make, pause, budget = NUMPY_VALUED_PROBLEMS[name]
+    assert (problem_fingerprint(validate(make(np.int64)))
+            == problem_fingerprint(validate(make(int))))
+    straight = MoopSolver(make(int)).solve(budget)
+
+    path = tmp_path / "state.json"
+    MoopSolver(make(np.int64), checkpoint_path=str(path)).solve(pause)
+    resumed = MoopSolver.checkpoint_load(str(path), make(np.int64))
+    assert_same_run(straight, resumed.solve(budget))
 
 
 def array_level_moop(arrays):

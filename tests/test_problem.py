@@ -120,6 +120,25 @@ def test_validate_stores_a_numpy_integer_q0_as_int():
     assert problem_fingerprint(moop) == problem_fingerprint(validate(plain))
 
 
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
+def test_validate_requires_a_non_negative_integer_rng_seed(seed):
+    # None used to run on OS entropy, so the run could not be repeated;
+    # True ran as seed 1 under another fingerprint; the rest raised
+    # ValueError or TypeError from SeedSequence.
+    defn = calibration_definition()
+    defn.rng_seed = seed
+    with pytest.raises(ValidationError, match="rng_seed must be a non-negative integer"):
+        validate(defn)
+
+
+def test_validate_stores_a_numpy_integer_rng_seed_as_int():
+    defn, plain = calibration_definition(), calibration_definition()
+    defn.rng_seed, plain.rng_seed = np.int64(3), 3
+    moop = validate(defn)
+    assert type(moop.rng_seed) is int
+    assert problem_fingerprint(moop) == problem_fingerprint(validate(plain))
+
+
 @pytest.mark.parametrize("output_dim", [True, 1.5, 0, -3, "198", None])
 def test_validate_requires_a_positive_integer_output_dim(output_dim):
     # A fractional output_dim used to validate and then skip every point

@@ -45,6 +45,15 @@ def test_dtlz2_norm_identity():
         assert np.all(f >= 0.0)
 
 
+@pytest.mark.parametrize("o", [4, 0, 2.5, True])
+def test_dtlz2_moop_rejects_an_objective_count_dtlz2_cannot_sweep(o):
+    # dtlz2_moop(n=2, o=4) used to validate, then fail every simulation
+    # with IndexError while the solve returned normally.
+    with pytest.raises(ValueError, match=r"n_objectives must be an integer in \[1, 3\]"):
+        testbed.dtlz2_moop(n=2, o=o, q0=4, batch=2)
+    assert validate(testbed.dtlz2_moop(n=2, o=3, q0=4, batch=2)).m == 3
+
+
 # -- delay wrapper ----------------------------------------------------------
 
 def test_delay_wrapper_sleeps_and_preserves_values():
