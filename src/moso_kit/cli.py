@@ -50,14 +50,16 @@ constraint is an ``identity`` or ``sum_of_squares`` form minus ``cap``.
 Term references (output indices, ``coeffs``, ``variable``) are checked
 against the simulation outputs and numeric variables at load, and
 ``scale``, ``const`` and ``cap`` must be finite numbers.  The ``dtlz2``
-testbed takes no categorical variable.  Exit
-codes: 0 on success, 2 for config problems (a budget below the initial
-design among them), 3 for runtime failures.
+testbed takes no categorical variable.  The commands parse documents and
+options and leave every other rule to the library.  Each exits 0 on
+success, 2 on a ``ConfigError`` or ``ValidationError`` (a budget below the
+initial design among them) and 3 on any other error.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -83,6 +85,8 @@ from .problem import (
     SimulationSpec,
     ValidationError,
     _capped,
+    _finite_real,
+    _integer_at_least,
     identity_objective,
     linear_objective,
     sum_of_squares_objective,
@@ -148,61 +152,49 @@ def _build_simulations(entries, variables, seed):
         if "q0" in entry:
             raise ConfigError(f"simulation {name!r}: q0 is set once for the problem, "
                               "in the search section")
-        local = entry.get("local", True)
-        if not isinstance(local, bool):
-            raise ConfigError(f"simulation {name!r}: local must be true or false, got {local!r}")
-        options = entry.get("options", {})
-        if key == "dtlz2":
-            categorical = [v.name for v in variables if v.kind == "categorical"]
-            if categorical:
-                raise ConfigError(f"simulation {name!r}: dtlz2 reads every variable as a number, "
-                                  f"but {categorical[0]!r} is categorical")
-            output_dim = options.get("n_objectives", 3)
-            try:
+        try:
+            if key == "dtlz2":
+                categorical = [v.name for v in variables if v.kind == "categorical"]
+                if categorical:
+                    raise ConfigError(f"simulation {name!r}: dtlz2 reads every variable as a "
+                                      f"number, but {categorical[0]!r} is categorical")
+                output_dim = entry.get("options", {}).get("n_objectives", 3)
                 evaluator = testbed.dtlz2_evaluator(var_names, output_dim)
-            except ValueError as err:
-                raise ConfigError(f"simulation {name!r}: {err}") from err
-        else:
-            evaluator = TESTBED_REGISTRY[key]
-            output_dim = TESTBED_OUTPUT_DIMS[key]
-        delay = entry.get("delay")
-        if delay is not None:
-            evaluator = testbed.delay_wrapper(
-                evaluator, *_delay_range(delay, f"simulation {name!r}"),
-                np.random.default_rng(np.random.SeedSequence([seed, 1000 + i])))
-        sims.append(SimulationSpec(name, output_dim, evaluator, local=local))
+            else:
+                evaluator = TESTBED_REGISTRY[key]
+                output_dim = TESTBED_OUTPUT_DIMS[key]
+            if entry.get("delay") is not None:
+                evaluator = testbed.delay_wrapper(
+                    evaluator, *_pair(entry["delay"]),
+                    np.random.default_rng(np.random.SeedSequence([seed, 1000 + i])))
+        except ValueError as err:
+            raise ConfigError(f"simulation {name!r}: {err}") from err
+        sims.append(SimulationSpec(name, output_dim, evaluator, local=entry.get("local", True)))
     return sims
+
+
+def _pair(delay):
+    """A ``delay`` value as its two items, which ``testbed.delay_wrapper`` checks."""
+    if isinstance(delay, list) and len(delay) == 2:
+        return delay
+    raise ValueError(f"delay must be [lower, upper] seconds, got {delay!r}")
 
 
 def _finite_numbers(value, count) -> bool:
     """Whether a config value is a list of ``count`` finite numbers."""
-    return (isinstance(value, list) and len(value) == count
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                    for v in value))
-
-
-def _delay_range(delay, where):
-    """``delay`` as (lower, upper) seconds: two finite numbers, 0 <= lower <= upper."""
-    if _finite_numbers(delay, 2) and 0.0 <= delay[0] <= delay[1]:
-        return float(delay[0]), float(delay[1])
-    raise ConfigError(f"{where}: delay must be [lower, upper] seconds "
-                      f"with 0 <= lower <= upper, got {delay!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and len(value) == count and all(map(_finite_real, value))
 
 
 def _count(entry, where):
     """``entry["count"]``, a positive integer, or None when it is not given."""
     count = entry.get("count")
-    if count is None or (_is_int(count) and count >= 1):
+    if count is None or _integer_at_least(count, 1):
         return count
     raise ConfigError(f"{where}: count must be a positive integer, got {count!r}")
 
 
 def _output_index(value, m, where):
-    if _is_int(value) and 0 <= value < m:
+    if _integer_at_least(value, 0) and value < m:
         return value
     raise ConfigError(f"{where}: output index must be an integer in [0, {m}), got {value!r}")
 
@@ -210,7 +202,7 @@ def _output_index(value, m, where):
 def _finite_number(entry, key, where, default=None):
     """``entry[key]`` (or ``default`` when given and the key is absent), a finite number."""
     value = entry.get(key, default) if default is not None else _require(entry, key, where)
-    if _finite_numbers([value], 1):
+    if _finite_real(value):
         return value
     raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
 
@@ -261,7 +253,7 @@ def load_config(path, seed_override=None):
     try:
         text = Path(path).read_text(encoding="utf-8")
         cfg = json.loads(text)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
@@ -269,7 +261,7 @@ def load_config(path, seed_override=None):
         raise ConfigError("config root must be a JSON object")
 
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    if not (_is_int(seed) and seed >= 0):
+    if not _integer_at_least(seed, 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if "penalty" in cfg:
         raise ConfigError("penalty: the constraint penalty schedule is fixed")
@@ -290,8 +282,6 @@ def load_config(path, seed_override=None):
         ref = cfg.get("metrics", {}).get("ref")
         if ref is not None and not _finite_numbers(ref, moop.o):
             raise ConfigError(f"metrics.ref must be {moop.o} finite numbers, got {ref!r}")
-    except (ValidationError, ConfigError):
-        raise
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"malformed config: {err}") from err
     return moop, cfg
@@ -366,14 +356,18 @@ def hv_trajectory(objectives, feasible, iterations, ref):
     return rows
 
 
-def _reference_point(cfg, objectives, feasible):
-    ref_cfg = cfg.get("metrics", {}).get("ref")
-    if ref_cfg is not None:
-        return np.asarray(ref_cfg, dtype=float)
-    feas = objectives[feasible]
-    if len(feas) == 0:
-        return None
-    return feas.max(axis=0)
+def _feasible_nadir(objectives, feasible):
+    """The componentwise maximum of the feasible ``objectives`` rows, or None if none is."""
+    feas = objectives[np.asarray(feasible, dtype=bool)]
+    return feas.max(axis=0) if len(feas) else None
+
+
+def _write_trajectory(fh, trajectory, columns=(), extra=lambda evals, hv: ()):
+    """CSV of ``hv_trajectory`` rows plus ``columns``, valued ``extra(evaluations, hv)``."""
+    writer = csv.writer(fh)
+    writer.writerow(["iteration", "evaluations", "hypervolume", *columns])
+    for k, evals, hv in trajectory:
+        writer.writerow([k, evals, hv, *extra(evals, hv)])
 
 
 def write_metrics_csv(path, moop, database, ref) -> None:
@@ -389,17 +383,38 @@ def write_metrics_csv(path, moop, database, ref) -> None:
         [[float(w @ objectives[i]) if feasible[i] else np.inf for i in order] for _, w in fixed]
     ).reshape(len(fixed), len(order)), axis=1)
     best[best == np.inf] = np.nan
-    header = ["iteration", "evaluations", "hypervolume"]
-    header += [f"best_fixed_{i}" for i, _ in fixed]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, evals, hv in hv_trajectory(objectives, feasible, iterations, ref):
-            writer.writerow([k, evals, hv] + best[:, evals - 1].tolist())
+        _write_trajectory(fh, hv_trajectory(objectives, feasible, iterations, ref),
+                          [f"best_fixed_{i}" for i, _ in fixed],
+                          lambda evals, hv: best[:, evals - 1].tolist())
 
 
 # ---------------------------------------------------------------------------
 # Commands
+
+def _exit_codes(command):
+    """``command`` exiting 2 on a config error and 3 on any other error, with a message."""
+    @functools.wraps(command)
+    def wrapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ConfigError, ValidationError) as err:
+            click.echo(f"config error: {err}", err=True)
+            sys.exit(2)
+        except Exception as err:  # noqa: BLE001 - boundary: map everything else to exit 3
+            click.echo(f"runtime error: {err}", err=True)
+            sys.exit(3)
+
+    return wrapped
+
+
+def _numbers(text, option, kind=float):
+    """The comma-separated values of an option, each converted by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"{option}: {err}") from err
+
 
 @click.group()
 @click.version_option(__version__)
@@ -418,55 +433,45 @@ def main() -> None:
                    "already exists.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True,
               help="Directory for database.csv, pareto.csv, metrics.csv, run_meta.json.")
+@_exit_codes
 def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
     """Run one optimization described by a config document."""
-    try:
-        moop, cfg = load_config(config_path, seed_override=seed)
-        if budget is None:
-            budget = cfg.get("budget")
-        if not _is_int(budget):
-            raise ConfigError(f"budget must be an integer via --budget or the config, got {budget!r}")
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-    except (ConfigError, ValidationError) as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
+    moop, cfg = load_config(config_path, seed_override=seed)
+    if budget is None:
+        budget = cfg.get("budget")
+    if budget is None:
+        raise ConfigError("budget must be an integer via --budget or the config, got None")
 
     started = time.perf_counter()
-    try:
-        if checkpoint_path and Path(checkpoint_path).exists():
-            solver = MoopSolver.checkpoint_load(checkpoint_path, moop, workers=workers)
-        else:
-            solver = MoopSolver(moop, workers=workers, checkpoint_path=checkpoint_path)
-        result = solver.solve(budget)
+    if checkpoint_path and Path(checkpoint_path).exists():
+        solver = MoopSolver.checkpoint_load(checkpoint_path, moop, workers=workers)
+    else:
+        solver = MoopSolver(moop, workers=workers, checkpoint_path=checkpoint_path)
+    result = solver.solve(budget)
 
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        db = result.database
-        ref = _reference_point(cfg, db.objective_matrix(), db.feasible_mask())
-        write_database_csv(out / "database.csv", moop, db.records)
-        write_pareto_csv(out / "pareto.csv", moop, result.archive)
-        write_metrics_csv(out / "metrics.csv", moop, db, ref)
-        meta = {
-            "blas_threads": _blas.thread_count(),
-            "budget": budget,
-            "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
-            "evaluations": result.evaluations,
-            "iterations": result.iterations,
-            "reference_point": None if ref is None else ref.tolist(),
-            "seed": moop.rng_seed,
-            "version": __version__,
-            "walltime_s": time.perf_counter() - started,
-            "workers": workers,
-        }
-        (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1),
-                                           encoding="utf-8")
-    except ValidationError as err:  # a budget below the initial design
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
-    except Exception as err:  # noqa: BLE001 - boundary: map everything to exit 3
-        click.echo(f"runtime error: {err}", err=True)
-        sys.exit(3)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    db = result.database
+    ref = cfg.get("metrics", {}).get("ref")
+    ref = (_feasible_nadir(db.objective_matrix(), db.feasible_mask()) if ref is None
+           else np.asarray(ref, dtype=float))
+    write_database_csv(out / "database.csv", moop, db.records)
+    write_pareto_csv(out / "pareto.csv", moop, result.archive)
+    write_metrics_csv(out / "metrics.csv", moop, db, ref)
+    meta = {
+        "blas_threads": _blas.thread_count(),
+        "budget": budget,
+        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "evaluations": result.evaluations,
+        "iterations": result.iterations,
+        "reference_point": None if ref is None else ref.tolist(),
+        "seed": moop.rng_seed,
+        "version": __version__,
+        "walltime_s": time.perf_counter() - started,
+        "workers": workers,
+    }
+    (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1),
+                                       encoding="utf-8")
     click.echo(f"done: {result.evaluations} evaluations, "
                f"{len(result.archive)} nondominated points")
 
@@ -477,50 +482,36 @@ def run(config_path, seed, budget, workers, checkpoint_path, out_dir) -> None:
 @click.option("--mode", type=click.Choice(["raw", "relative_to_initial", "relative_to_gap"]),
               default="raw", show_default=True)
 @click.option("--hv-max", type=float, default=None, help="Ceiling for relative_to_gap.")
+@_exit_codes
 def metrics(db_path, ref_text, mode, hv_max) -> None:
     """Recompute the hypervolume trajectory from a run database."""
-    try:
-        objectives, feasible, iterations = _read_database(db_path)
-        if ref_text is not None:
-            ref = [float(v) for v in ref_text.split(",")]
-            if not _finite_numbers(ref, objectives.shape[1]):
-                raise ConfigError(f"--ref must be {objectives.shape[1]} finite numbers")
-        else:
-            feas = objectives[np.asarray(feasible, dtype=bool)]
-            if len(feas) == 0:
-                raise ConfigError("no feasible rows and no --ref given")
-            ref = feas.max(axis=0)
-        if mode == "relative_to_gap" and hv_max is None:
-            raise ConfigError("relative_to_gap needs --hv-max")
-        if hv_max is not None and not math.isfinite(hv_max):
-            raise ConfigError("--hv-max must be a finite number")
-    except Exception as err:  # noqa: BLE001 - every failure here is a config error
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
+    objectives, feasible, iterations = _read_database(db_path)
+    if ref_text is not None:
+        ref = _numbers(ref_text, "--ref")
+        if not _finite_numbers(ref, objectives.shape[1]):
+            raise ConfigError(f"--ref must be {objectives.shape[1]} finite numbers")
+    else:
+        ref = _feasible_nadir(objectives, feasible)
+        if ref is None:
+            raise ConfigError("no feasible rows and no --ref given")
+    if mode == "relative_to_gap" and hv_max is None:
+        raise ConfigError("relative_to_gap needs --hv-max")
+    if hv_max is not None and not math.isfinite(hv_max):
+        raise ConfigError("--hv-max must be a finite number")
 
-    try:
-        traj = hv_trajectory(objectives, feasible, iterations, ref)
-        out = io.StringIO()
-        writer = csv.writer(out)
-        header = ["iteration", "evaluations", "hypervolume"]
-        if mode != "raw":
-            header.append("pct_improvement")
-        writer.writerow(header)
-        hv0 = traj[0][2] if traj else 0.0
-        if mode == "relative_to_gap" and hv_max <= hv0:
-            raise ConfigError(f"--hv-max {hv_max} must exceed the initial hypervolume {hv0}")
-        for k, evals, hv in traj:
-            row = [k, evals, hv]
-            if mode != "raw":
-                row.append(float(pct_hv_improvement(hv, hv0, mode=mode, hv_max=hv_max)))
-            writer.writerow(row)
-        click.echo(out.getvalue(), nl=False)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
-    except Exception as err:  # noqa: BLE001
-        click.echo(f"runtime error: {err}", err=True)
-        sys.exit(3)
+    traj = hv_trajectory(objectives, feasible, iterations, ref)
+    hv0 = traj[0][2]  # _read_database rejects a database without records
+    if mode == "relative_to_gap" and hv_max <= hv0:
+        raise ConfigError(f"--hv-max {hv_max} must exceed the initial hypervolume {hv0}")
+    if mode == "relative_to_initial" and hv0 == 0:
+        raise ConfigError(f"relative_to_initial needs a nonzero initial hypervolume, got {hv0}")
+    out = io.StringIO()
+    if mode == "raw":
+        _write_trajectory(out, traj)
+    else:
+        _write_trajectory(out, traj, ["pct_improvement"], lambda evals, hv: [
+            float(pct_hv_improvement(hv, hv0, mode=mode, hv_max=hv_max))])
+    click.echo(out.getvalue(), nl=False)
 
 
 def _read_database(path):
@@ -529,7 +520,7 @@ def _read_database(path):
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-    except (OSError, StopIteration) as err:
+    except (OSError, StopIteration, UnicodeDecodeError, csv.Error) as err:
         raise ConfigError(f"cannot read database: {err}") from err
     try:
         obj_cols = [i for i, h in enumerate(header) if h.startswith("obj_")]
@@ -558,33 +549,23 @@ def _read_database(path):
 @click.option("--sim-delay", default="0.05,0.15", show_default=True,
               help="Uniform sleep range per simulation, seconds.")
 @click.option("--budget", type=int, default=160, show_default=True)
+@_exit_codes
 def bench_scaling(workers_list, sim_delay, budget) -> None:
     """Walltime of one fixed delayed problem across worker counts."""
-    try:
-        counts = [int(v) for v in workers_list.split(",")]
-        t_min, t_max = _delay_range([float(v) for v in sim_delay.split(",")], "--sim-delay")
-        if not counts or any(c < 1 for c in counts):
-            raise ValueError("bad workers count")
-    except (ValueError, ConfigError) as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
-
-    try:
-        for i, w in enumerate(counts):
-            defn = testbed.dtlz2_moop(q0=16, batch=8, delay=(t_min, t_max))
-            solver = MoopSolver(defn, workers=w)
-            started = time.perf_counter()
-            result = solver.solve(budget)
-            elapsed = time.perf_counter() - started
-            if i == 0:  # after the first solve, so that a config error prints no header
-                click.echo("workers,walltime_s,evaluations")
-            click.echo(f"{w},{elapsed:.3f},{result.evaluations}")
-    except ValidationError as err:  # a budget below the initial design
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
-    except Exception as err:  # noqa: BLE001
-        click.echo(f"runtime error: {err}", err=True)
-        sys.exit(3)
+    counts = _numbers(workers_list, "--workers-list", int)
+    delay = _numbers(sim_delay, "--sim-delay")
+    try:  # every solver checks its worker count before the first solve starts
+        solvers = [MoopSolver(testbed.dtlz2_moop(q0=16, batch=8, delay=_pair(delay)), workers=w)
+                   for w in counts]
+    except ValueError as err:
+        raise ConfigError(f"--sim-delay: {err}") from err
+    for w, solver in zip(counts, solvers):
+        started = time.perf_counter()
+        result = solver.solve(budget)
+        elapsed = time.perf_counter() - started
+        if solver is solvers[0]:  # after the first solve, so that a config error prints no header
+            click.echo("workers,walltime_s,evaluations")
+        click.echo(f"{w},{elapsed:.3f},{result.evaluations}")
 
 
 if __name__ == "__main__":

@@ -57,6 +57,7 @@ from .problem import (
     Moop,
     MosoError,
     ValidationError,
+    _integer_at_least,
     eval_constraints,
     eval_objectives,
     latent_key,
@@ -138,8 +139,8 @@ class MoopSolver:
 
     def __init__(self, moop, workers: int = 1, checkpoint_path=None):
         self.moop = validate(moop)
-        if workers < 1:
-            raise ValidationError("workers must be >= 1")
+        if not _integer_at_least(workers, 1):
+            raise ValidationError(f"workers must be a positive integer, got {workers!r}")
         self.workers = workers
         self.checkpoint_path = checkpoint_path
         self.database = EvaluationDatabase(self.moop.plan)
@@ -303,7 +304,7 @@ class MoopSolver:
         return self.moop.q0 if self.iteration == 0 else self.moop.q
 
     def solve(self, budget: int) -> SolveResult:
-        """Run iterations until the next batch would exceed ``budget``.
+        """Run iterations until the next batch would exceed the integer ``budget``.
 
         The budget counts evaluation attempts: one per point proposed, at
         most q0 in the initial design.  The run stops early when an
@@ -311,6 +312,8 @@ class MoopSolver:
         exhausted).  The result's archive is a copy of the one the solver
         keeps, brought up to date with the last batch.
         """
+        if not _integer_at_least(budget, -math.inf):
+            raise ValidationError(f"budget must be an integer, got {budget!r}")
         if budget < self.moop.q0:
             raise ValidationError(f"budget {budget} cannot cover the initial design "
                                   f"of {self.moop.q0} points")
@@ -521,6 +524,6 @@ def _encodable(value) -> bool:
 
 
 def _count(value, name) -> int:
-    if type(value) is not int or value < 0:
+    if not _integer_at_least(value, 0):
         raise CheckpointError(f"{name} must be a non-negative integer, not {value!r}")
     return value

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
@@ -204,8 +205,9 @@ def _check_variable(v: DesignVariable) -> None:
     if v.kind in ("continuous", "integer"):
         if v.lower is None or v.upper is None:
             raise ValidationError(f"variable {v.name!r}: bounds are required")
-        if not (np.isfinite(v.lower) and np.isfinite(v.upper)):
-            raise ValidationError(f"variable {v.name!r}: bounds must be finite")
+        if not (_finite_real(v.lower) and _finite_real(v.upper)):
+            raise ValidationError(f"variable {v.name!r}: bounds must be finite real numbers, "
+                                  f"got {v.lower!r} and {v.upper!r}")
         if not v.lower < v.upper:
             raise ValidationError(f"variable {v.name!r}: lower must be < upper")
         if v.kind == "integer" and (v.lower != int(v.lower) or v.upper != int(v.upper)):
@@ -216,13 +218,21 @@ def _check_variable(v: DesignVariable) -> None:
         if len(set(v.levels)) != len(v.levels):
             raise ValidationError(f"variable {v.name!r}: duplicate category levels")
     elif v.kind == "custom":
-        if v.embedder is None or v.embedder.width < 1:
+        if v.embedder is None:
             raise ValidationError(f"variable {v.name!r}: custom kind needs an embedder")
+        if not _integer_at_least(v.embedder.width, 1):
+            raise ValidationError(f"variable {v.name!r}: embedder width must be a positive "
+                                  f"integer, got {v.embedder.width!r}")
 
 
-def _integer_at_least(value, least: int) -> bool:
+def _integer_at_least(value, least) -> bool:
     """Whether ``value`` is an integer >= ``least``, a numpy one included, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def validate(defn) -> Moop:
@@ -257,6 +267,9 @@ def validate(defn) -> Moop:
     for s in defn.simulations:
         if not callable(s.evaluator):
             raise ValidationError(f"simulation {s.name!r}: evaluator is not callable")
+        if not isinstance(s.local, bool):
+            raise ValidationError(f"simulation {s.name!r}: local must be true or false, "
+                                  f"got {s.local!r}")
         if not _integer_at_least(s.output_dim, 1):
             raise ValidationError(f"simulation {s.name!r}: output_dim must be a positive "
                                   f"integer, got {s.output_dim!r}")
@@ -278,10 +291,10 @@ def validate(defn) -> Moop:
         if a.kind == "fixed_weight":
             if a.weights is None or len(a.weights) != o:
                 raise ValidationError(f"acquisition {i}: needs {o} weights")
-            w = np.asarray(a.weights, dtype=float)
-            if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
-                raise ValidationError(
-                    f"acquisition {i}: weights must be finite, nonnegative and not all zero")
+            if not (all(map(_finite_real, a.weights)) and min(a.weights) >= 0
+                    and sum(a.weights) > 0):
+                raise ValidationError(f"acquisition {i}: weights must be finite real numbers, "
+                                      f"nonnegative and not all zero, got {a.weights!r}")
 
     plan = embedding.build_plan(tuple(defn.variables))
     return Moop(

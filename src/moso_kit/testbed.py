@@ -27,6 +27,7 @@ from .problem import (
     DesignVariable,
     MoopDefinition,
     SimulationSpec,
+    _finite_real,
     _integer_at_least,
     identity_constraint,
     identity_objective,
@@ -57,7 +58,13 @@ def dtlz2(x, n_objectives: int = 3) -> np.ndarray:
 
 
 def delay_wrapper(fn, t_min: float, t_max: float, rng: np.random.Generator):
-    """Add a uniform random sleep before each call (thread-safe draws)."""
+    """Add a uniform random sleep before each call (thread-safe draws).
+
+    ``t_min`` and ``t_max`` are finite seconds, ``0 <= t_min <= t_max``; ValueError otherwise.
+    """
+    if not (_finite_real(t_min) and _finite_real(t_max) and 0 <= t_min <= t_max):
+        raise ValueError(f"delay must be [lower, upper] seconds with 0 <= lower <= upper, "
+                         f"got {[t_min, t_max]!r}")
     lock = threading.Lock()
 
     def wrapped(x):

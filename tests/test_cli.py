@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import moso_kit
-from moso_kit import _blas, testbed
+from moso_kit import _blas, cli, testbed
 from moso_kit.cli import hv_trajectory, load_config, main, write_database_csv, write_metrics_csv
 from moso_kit.metrics import hypervolume
 from moso_kit.orchestrator import _record_line, problem_fingerprint
@@ -691,6 +691,84 @@ def test_bad_hv_max_is_a_config_error(tmp_path, hv_max, message):
                       "--mode", "relative_to_gap", "--hv-max", hv_max])
     assert result.exit_code == 2, result.output
     assert result.output == f"config error: {message}\n"
+
+
+def test_relative_to_initial_with_no_initial_hypervolume_is_a_config_error(tmp_path):
+    # The iteration-0 point lies beyond the reference point, so the initial
+    # hypervolume is 0; this exited 3 with "hv_initial must be nonzero".
+    db = write_database(tmp_path, [[0, 2.0, 2.0, 1], [1, 0.5, 0.5, 1]], n_obj=2)
+    result = run_cli(["metrics", "--db", str(db), "--ref", "1,1", "--mode", "relative_to_initial"])
+    assert result.exit_code == 2, result.output
+    assert ("config error: relative_to_initial needs a nonzero initial hypervolume, got 0.0"
+            in result.stderr)
+    assert result.stdout == ""
+
+
+def _file(tmp_path, name, data: bytes):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+def _config(tmp_path):
+    return str(write_config(tmp_path, small_config()))
+
+
+def _database(tmp_path):
+    return str(write_database(tmp_path, [[0, 0.5, 0.5, 0.5, 1]]))
+
+
+#: command, its arguments (a function of tmp_path gives a path), the name
+#: that ``_fail`` replaces or None, the exit code and the stderr prefix.
+EXIT_CODE_CASES = {
+    "run-config-not-utf-8": (
+        "run", ["--config", lambda p: _file(p, "c.json", b'{"seed": "\xff"}')], None,
+        2, "config error: cannot read config"),
+    "run-workers": ("run", ["--config", _config, "--workers", "0"], None,
+                    2, "config error: workers must be"),
+    "run-budget": ("run", ["--config", _config, "--budget", "-1"], None,
+                   2, "config error: budget -1 cannot cover"),
+    "run-corrupt-checkpoint": (
+        "run", ["--config", _config, "--checkpoint", lambda p: _file(p, "state.json", b"{"),
+                "--out", lambda p: str(p / "out")], None,
+        3, "runtime error: unreadable checkpoint"),
+    "metrics-ref-not-numbers": ("metrics", ["--db", _database, "--ref", "a,b"], None,
+                                2, "config error: --ref"),
+    "metrics-database-not-utf-8": (
+        "metrics", ["--db", lambda p: _file(p, "database.csv", b"iteration,obj_\xff\r\n")],
+        None, 2, "config error: cannot read database"),
+    "metrics-failure": ("metrics", ["--db", _database], (cli, "hv_trajectory"),
+                        3, "runtime error: injected failure"),
+    "bench-workers-list-not-integers": ("bench-scaling", ["--workers-list", "1,x"], None,
+                                        2, "config error: --workers-list"),
+    "bench-workers-list-zero": ("bench-scaling", ["--workers-list", "1,0"], None,
+                                2, "config error: workers must be a positive integer"),
+    "bench-sim-delay-not-numbers": ("bench-scaling", ["--sim-delay", "a,b"], None,
+                                    2, "config error: --sim-delay"),
+    "bench-sim-delay-one-number": ("bench-scaling", ["--sim-delay", "0.1"], None,
+                                   2, "config error: --sim-delay: delay must be"),
+    "bench-sim-delay-negative": ("bench-scaling", ["--sim-delay", "-0.01,0"], None,
+                                 2, "config error: --sim-delay: delay must be"),
+    # Every simulation fails, so the first acquisition iteration has no data.
+    "bench-failure": ("bench-scaling", ["--workers-list", "1", "--sim-delay", "0,0",
+                                        "--budget", "24"], (testbed, "dtlz2"),
+                      3, "runtime error: no evaluations available"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODE_CASES)
+def test_every_command_maps_errors_to_one_exit_code_policy(tmp_path, monkeypatch, case):
+    # A non-UTF-8 config used to escape as UnicodeDecodeError.
+    command, args, patch, code, prefix = EXIT_CODE_CASES[case]
+    if patch is not None:
+        monkeypatch.setattr(*patch, _fail)
+    result = run_cli([command, *(a(tmp_path) if callable(a) else a for a in args)])
+    assert (result.exit_code, result.stdout) == (code, ""), result.output
+    assert result.stderr.startswith(prefix), result.stderr
 
 
 def test_bench_scaling_validates_arguments():

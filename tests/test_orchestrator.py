@@ -123,6 +123,25 @@ def test_budget_below_initial_design_rejected():
         solver.solve(7)
 
 
+@pytest.mark.parametrize("budget", [12.5, "12", True, None])
+def test_budget_must_be_an_integer(budget):
+    # 12.5 ran; "12" raised TypeError from the comparison with q0.
+    solver = MoopSolver(bowl_moop(q0=8))
+    with pytest.raises(ValidationError, match="budget must be an integer"):
+        solver.solve(budget)
+    assert solver.evaluations == 0
+    assert MoopSolver(bowl_moop(q0=8)).solve(np.int64(11)).evaluations == 11
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2", 0, None])
+def test_workers_must_be_a_positive_integer(workers):
+    # 2.5 ran a pool sized 2.5 and True one of one worker; "2" raised
+    # TypeError from the comparison with 1.
+    with pytest.raises(ValidationError, match="workers must be a positive integer"):
+        MoopSolver(bowl_moop(), workers=workers)
+    assert MoopSolver(bowl_moop(), workers=np.int64(2)).solve(11).evaluations == 11
+
+
 def test_database_never_contains_duplicate_latents():
     result = MoopSolver(bowl_moop(q0=10, seed=2)).solve(31)
     keys = {latent_key(r.latent) for r in result.database.records}

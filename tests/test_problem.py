@@ -8,6 +8,7 @@ from moso_kit.orchestrator import problem_fingerprint
 from moso_kit.problem import (
     AcquisitionSpec,
     ConstraintSpec,
+    CustomEmbedder,
     DesignVariable,
     DuplicatePointError,
     EvaluationDatabase,
@@ -177,6 +178,60 @@ def test_validate_rejects_non_finite_fixed_weights(weights):
     defn.objectives = defn.objectives[:2]
     defn.acquisitions = [AcquisitionSpec("fixed_weight", weights=weights)]
     with pytest.raises(ValidationError, match="weights must be finite"):
+        validate(defn)
+
+
+@pytest.mark.parametrize("weights", [("a", "b"), ("0.5", "0.5"), (True, 1.0), (0.5, None)])
+def test_validate_rejects_fixed_weights_that_are_not_real_numbers(weights):
+    # ("a", "b") raised ValueError from numpy; ("0.5", "0.5") validated
+    # under a fingerprint that differs from (0.5, 0.5); True passed as 1.
+    defn = calibration_definition()
+    defn.objectives = defn.objectives[:2]
+    defn.acquisitions = [AcquisitionSpec("fixed_weight", weights=weights)]
+    with pytest.raises(ValidationError, match="weights must be finite real numbers"):
+        validate(defn)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer"])
+@pytest.mark.parametrize("lower, upper", [("0", 5), (0, "5"), (True, 5), (0, np.float64(NAN))])
+def test_validate_rejects_bounds_that_are_not_real_numbers(kind, lower, upper):
+    # A string bound raised TypeError from np.isfinite; a bool passed as 0 or 1.
+    defn = calibration_definition()
+    defn.variables[0] = DesignVariable("x1", kind, lower, upper)
+    with pytest.raises(ValidationError, match="bounds must be finite real numbers"):
+        validate(defn)
+
+
+def test_validate_accepts_numpy_bounds_and_weights():
+    defn, plain = calibration_definition(), calibration_definition()
+    defn.variables[0] = DesignVariable("x1", "continuous", np.float64(0.146), np.float32(0.5))
+    plain.variables[0] = DesignVariable("x1", "continuous", 0.146, float(np.float32(0.5)))
+    for d in (defn, plain):
+        d.objectives = d.objectives[:2]
+    defn.acquisitions = [AcquisitionSpec("fixed_weight", weights=(np.int64(1), np.float64(0.5)))]
+    plain.acquisitions = [AcquisitionSpec("fixed_weight", weights=(1, 0.5))]
+    assert problem_fingerprint(validate(defn)) == problem_fingerprint(validate(plain))
+
+
+@pytest.mark.parametrize("width", [1.5, True, 0, "2", None])
+def test_validate_requires_a_positive_integer_embedder_width(width):
+    # 1.5 validated with a latent dimension of 3.5, and the first embed
+    # raised "'float' object cannot be interpreted as an integer"; True
+    # validated as width 1.
+    defn = calibration_definition()
+    embedder = CustomEmbedder(width, lambda v: np.array([v]), lambda z: float(z[0]))
+    defn.variables.append(DesignVariable("level", "custom", embedder=embedder))
+    with pytest.raises(ValidationError, match="embedder width must be a positive integer"):
+        validate(defn)
+
+
+@pytest.mark.parametrize("local", ["no", 0, 1, None])
+def test_validate_requires_a_boolean_local(local):
+    # SimulationSpec(..., local="no") validated, refitted locally and was
+    # fingerprinted as "no".
+    defn = calibration_definition()
+    defn.simulations = [SimulationSpec("residuals", 198, lambda d: np.zeros(198), local=local)]
+    with pytest.raises(ValidationError, match="'residuals': local must be true or false"):
         validate(defn)
 
 

@@ -72,6 +72,20 @@ def test_delay_wrapper_sleeps_and_preserves_values():
     assert 0.05 <= elapsed <= 0.6
 
 
+@pytest.mark.parametrize("t_min, t_max", [
+    (-0.01, 0.0), (0.05, 0.0), (float("nan"), 0.1), (0.0, float("inf")), ("0", 0.1),
+    (0.0, None), (True, 1.0),
+])
+def test_delay_wrapper_rejects_a_range_that_is_not_two_ordered_finite_seconds(t_min, t_max):
+    # dtlz2_moop(delay=(-0.01, 0.0)) ran the whole initial design, failed
+    # every simulation on a negative sleep and then raised "no evaluations
+    # available"; (0.05, 0.0) drew from the swapped range.
+    with pytest.raises(ValueError, match="delay must be"):
+        testbed.delay_wrapper(lambda x: x, t_min, t_max, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="delay must be"):
+        testbed.dtlz2_moop(q0=4, batch=2, delay=(t_min, t_max))
+
+
 def test_delay_wrapper_is_thread_safe():
     wrapped = testbed.delay_wrapper(lambda x: np.array([x["v"]]),
                                     0.01, 0.02, np.random.default_rng(1))
